@@ -40,11 +40,10 @@
 //!   residency/quarantine timelines as `chrome_trace_<app>.json` for
 //!   `chrome://tracing` / Perfetto.
 
-use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
-use porsche::chrome::chrome_trace_json;
+use porsche::chrome::{chrome_trace_json, escape as json_escape};
 use porsche::probe::AttributedLedger;
 use proteus::experiment::{demo_scenario, plan_for, resolve_target, RunTarget, Scale, EXPERIMENTS};
 use proteus::runner::{default_workers, PlanMetrics};
@@ -209,23 +208,6 @@ fn dump_flame(target: RunTarget, scale: &Scale, quick: bool, jobs: usize, outdir
     }
 }
 
-/// Escape a string for inclusion in a JSON document (the summary has no
-/// exotic characters, but stay correct anyway).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn metrics_json(m: &PlanMetrics, indent: &str) -> String {
     format!(
         "{indent}{{\n\
@@ -277,15 +259,13 @@ fn summary_json(
     let throughput =
         if total_wall_seconds > 0.0 { total_cycles as f64 / total_wall_seconds } else { 0.0 };
     let per_figure: Vec<String> = metrics.iter().map(|m| metrics_json(m, "    ")).collect();
-    // Per-experiment and aggregate cycle attribution, folded from the
-    // same event stream that produced the breakdown CSVs.
-    let mut aggregate = proteus::CycleLedger::default();
+    // Per-experiment and aggregate cycle attribution: the refold of
+    // each plan's merged attribution matrix.
     let mut attributed = AttributedLedger::default();
     let per_figure_breakdown: Vec<String> = metrics
         .iter()
         .map(|m| {
-            let ledger = m.breakdown.aggregate();
-            aggregate.absorb(&ledger);
+            let ledger = m.attributed.refold();
             attributed.absorb(&m.attributed);
             format!("    \"{}\": {}", json_escape(&m.figure), ledger.to_json())
         })
@@ -315,7 +295,7 @@ fn summary_json(
         per_figure.join(",\n"),
         per_figure_breakdown.join(",\n"),
         if per_figure_breakdown.is_empty() { "" } else { ",\n" },
-        aggregate.to_json(),
+        attributed.refold().to_json(),
         attributed.top_sinks_json(TOP_SINKS),
         if trace_entries.is_empty() {
             String::new()

@@ -4,9 +4,10 @@
 //! fresh sinks must reproduce the kernel's own `KernelStats` and
 //! `CycleLedger` exactly, (b) the ledger's categories must sum to the
 //! total simulated cycles — every cycle is attributed to exactly one
-//! category, none invented, none lost — and (c) the per-process ×
-//! per-callsite `AttributedLedger` must refold to the global ledger,
-//! so its folded-stack export conserves every category.
+//! category, none invented, none lost — and (c) the global ledger is
+//! the refold of the per-process × per-callsite `AttributedLedger`, so
+//! the independent re-fold in (a) checks the matrix too, and its
+//! folded-stack export conserves every category.
 
 use std::collections::BTreeMap;
 

@@ -28,8 +28,12 @@ fn folded_stacks_are_byte_identical_at_any_worker_count() {
     assert_eq!(folded_serial, folded_parallel, "--jobs must not change the folded output");
     assert_eq!(serial.attributed, parallel.attributed);
 
-    // Per-category folded sums == the plan's aggregate ledger.
-    let aggregate = serial.breakdown.aggregate();
+    // Per-category folded sums == the sum of the plan's per-job
+    // breakdown rows.
+    let mut aggregate = CycleLedger::default();
+    for row in &serial.breakdown.rows {
+        aggregate.absorb(&row.ledger);
+    }
     assert_eq!(serial.attributed.refold(), aggregate);
     for (name, value) in CycleLedger::CATEGORIES.iter().zip(aggregate.values()) {
         let suffix = format!(";{name}");

@@ -55,7 +55,9 @@ fn push_meta(out: &mut String, meta: &str, pid: u64, tid: u64, value: &str) {
     );
 }
 
-fn escape(s: &str) -> String {
+/// Escape a string for inclusion in a JSON string literal: quotes,
+/// backslashes and control characters.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

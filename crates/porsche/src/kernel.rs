@@ -205,10 +205,10 @@ pub struct RunReport {
     pub makespan: u64,
     /// Management statistics.
     pub stats: KernelStats,
-    /// Where every simulated cycle went (categories sum to the clock).
+    /// Where every simulated cycle went (categories sum to the clock):
+    /// `attributed.refold()`.
     pub ledger: CycleLedger,
-    /// The same cycles sliced per-process × per-callsite; refolds to
-    /// `ledger` exactly.
+    /// The same cycles sliced per-process × per-callsite.
     pub attributed: AttributedLedger,
 }
 
@@ -326,11 +326,6 @@ impl Kernel {
         self.probe.stats()
     }
 
-    /// The cycle-attribution ledger gathered so far.
-    pub fn ledger(&self) -> &CycleLedger {
-        self.probe.ledger()
-    }
-
     /// The per-process × per-callsite attribution matrix gathered so
     /// far.
     pub fn attributed(&self) -> &AttributedLedger {
@@ -353,7 +348,7 @@ impl Kernel {
     /// (the embedder advances the clock; the kernel attributes it).
     pub fn note_idle(&mut self, at: u64, cycles: u64) {
         if cycles > 0 {
-            self.probe.idle_span(at, cycles);
+            self.probe.emit(at, Tag::kernel(Callsite::Idle), Event::Idle { cycles });
         }
     }
 
@@ -393,10 +388,8 @@ impl Kernel {
     /// Attribute a guest execution span that started at `span_start`,
     /// splitting it into user, custom-execute and software-dispatch
     /// cycles using the CPU's execution mix and the RFU's dispatch
-    /// counters (both drained per span) — O(1) work per quantum. Goes
-    /// through [`Probe::compute_span`], which only materialises an
-    /// [`Event::Compute`] when an observer beyond the built-in folds is
-    /// attached.
+    /// counters (both drained per span) — O(1) work per quantum, one
+    /// [`Event::Compute`] per span via [`Probe::compute_span`].
     fn attribute_span(&mut self, pid: Pid, span_start: u64, cpu: &mut Cpu, rfu: &mut Rfu) {
         let mix = cpu.take_exec_mix();
         let counters = rfu.take_dispatch_counters();
@@ -779,7 +772,7 @@ impl Kernel {
             killed,
             makespan,
             stats: *self.probe.stats(),
-            ledger: *self.probe.ledger(),
+            ledger: self.probe.attributed().refold(),
             attributed: self.probe.attributed().clone(),
         }
     }

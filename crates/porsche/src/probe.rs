@@ -653,31 +653,6 @@ impl AttributedLedger {
         self.cells.entry((pid, callsite)).or_default()
     }
 
-    /// Attribute a compute span, splitting it across the dispatch
-    /// callsites: user cycles under [`Callsite::Compute`],
-    /// custom-execute under [`Callsite::HwDispatch`], handler cycles
-    /// under [`Callsite::SwDispatch`]. Also the
-    /// [`Probe::compute_span`] fast path, so it must stay equivalent to
-    /// folding an [`Event::Compute`].
-    pub fn add_compute(&mut self, pid: Pid, user: u64, custom: u64, soft: u64) {
-        if user > 0 {
-            self.cell(pid, Callsite::Compute).user_compute += user;
-        }
-        if custom > 0 {
-            self.cell(pid, Callsite::HwDispatch).custom_execute += custom;
-        }
-        if soft > 0 {
-            self.cell(pid, Callsite::SwDispatch).soft_dispatch += soft;
-        }
-    }
-
-    /// Attribute an idle span (the [`Probe::idle_span`] fast path).
-    pub fn add_idle(&mut self, cycles: u64) {
-        if cycles > 0 {
-            self.cell(0, Callsite::Idle).idle += cycles;
-        }
-    }
-
     /// Iterate the non-empty cells in deterministic `(pid, callsite)`
     /// order.
     pub fn cells(&self) -> impl Iterator<Item = (Pid, Callsite, &CycleLedger)> + '_ {
@@ -689,9 +664,9 @@ impl AttributedLedger {
         self.cells.is_empty()
     }
 
-    /// Collapse the matrix back into one global [`CycleLedger`]. Equals
-    /// the kernel's own ledger over the same stream — the conservation
-    /// law extended through attribution.
+    /// Collapse the matrix into the global [`CycleLedger`]: what a
+    /// plain `CycleLedger` fold over the same stream yields — the
+    /// conservation law extended through attribution.
     pub fn refold(&self) -> CycleLedger {
         let mut out = CycleLedger::default();
         for ledger in self.cells.values() {
@@ -771,10 +746,20 @@ impl AttributedLedger {
 impl EventSink for AttributedLedger {
     fn on_event(&mut self, at: u64, tag: Tag, event: &Event) {
         match *event {
-            // Compute spans split across the dispatch callsites; the
+            // Compute spans split across the dispatch callsites (user
+            // cycles under `Compute`, custom-execute under
+            // `HwDispatch`, handler cycles under `SwDispatch`); the
             // event's own pid equals the tag's.
             Event::Compute { pid, user, custom, soft, .. } => {
-                self.add_compute(pid, user, custom, soft);
+                if user > 0 {
+                    self.cell(pid, Callsite::Compute).user_compute += user;
+                }
+                if custom > 0 {
+                    self.cell(pid, Callsite::HwDispatch).custom_execute += custom;
+                }
+                if soft > 0 {
+                    self.cell(pid, Callsite::SwDispatch).soft_dispatch += soft;
+                }
             }
             // Everything else books its category delta into the tag's
             // cell. Routing through the CycleLedger fold keeps the
@@ -791,12 +776,12 @@ impl EventSink for AttributedLedger {
     }
 }
 
-/// The fan-out point: one `emit` call feeds the stats fold, the cycle
-/// ledger, the attribution matrix, the bounded trace, and any extra
-/// sinks the embedder added.
+/// The fan-out point: one `emit` call feeds the stats fold, the
+/// attribution matrix (whose [`AttributedLedger::refold`] is the global
+/// cycle ledger), the bounded trace, and any extra sinks the embedder
+/// added.
 pub struct Probe {
     stats: KernelStats,
-    ledger: CycleLedger,
     attributed: AttributedLedger,
     trace: Trace,
     extra: Vec<Box<dyn EventSink>>,
@@ -806,7 +791,6 @@ impl fmt::Debug for Probe {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Probe")
             .field("stats", &self.stats)
-            .field("ledger", &self.ledger)
             .field("attributed", &self.attributed)
             .field("trace", &self.trace)
             .field("extra_sinks", &self.extra.len())
@@ -816,11 +800,10 @@ impl fmt::Debug for Probe {
 
 impl Probe {
     /// A probe whose trace keeps at most `trace_capacity` events
-    /// (0 disables tracing; stats and ledger always accumulate).
+    /// (0 disables tracing; stats and attribution always accumulate).
     pub fn new(trace_capacity: usize) -> Self {
         Self {
             stats: KernelStats::default(),
-            ledger: CycleLedger::default(),
             attributed: AttributedLedger::default(),
             trace: Trace::with_capacity(trace_capacity),
             extra: Vec::new(),
@@ -831,7 +814,6 @@ impl Probe {
     /// every sink.
     pub fn emit(&mut self, at: u64, tag: Tag, event: Event) {
         self.stats.on_event(at, tag, &event);
-        self.ledger.on_event(at, tag, &event);
         self.attributed.on_event(at, tag, &event);
         self.trace.on_event(at, tag, &event);
         for sink in &mut self.extra {
@@ -839,22 +821,8 @@ impl Probe {
         }
     }
 
-    /// `true` when something beyond the built-in folds observes the
-    /// stream: the trace ring is enabled or extra sinks are attached.
-    /// When `false`, the span-delta fast paths below skip `Event`
-    /// construction entirely — the built-in folds are updated directly,
-    /// so the observable totals are identical either way.
-    #[inline]
-    pub fn needs_events(&self) -> bool {
-        self.trace.enabled() || !self.extra.is_empty()
-    }
-
-    /// Attribute a completed compute span: the fast-path equivalent of
-    /// emitting [`Event::Compute`]. The ledger and attribution matrix
-    /// are the only built-in folds that consume compute spans
-    /// ([`KernelStats`] ignores them), so with no other observers
-    /// attached this skips `Event` construction and updates them
-    /// directly — the observable totals are identical either way.
+    /// Emit the [`Event::Compute`] of a completed execution span,
+    /// tagged to `pid` at [`Callsite::Compute`].
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn compute_span(
@@ -867,40 +835,16 @@ impl Probe {
         hw_dispatches: u64,
         sw_dispatches: u64,
     ) {
-        if self.needs_events() {
-            self.emit(
-                at,
-                Tag::new(pid, Callsite::Compute),
-                Event::Compute { pid, user, custom, soft, hw_dispatches, sw_dispatches },
-            );
-        } else {
-            self.ledger.user_compute += user;
-            self.ledger.custom_execute += custom;
-            self.ledger.soft_dispatch += soft;
-            self.attributed.add_compute(pid, user, custom, soft);
-        }
-    }
-
-    /// Attribute an idle span: the fast-path equivalent of emitting
-    /// [`Event::Idle`].
-    #[inline]
-    pub fn idle_span(&mut self, at: u64, cycles: u64) {
-        if self.needs_events() {
-            self.emit(at, Tag::kernel(Callsite::Idle), Event::Idle { cycles });
-        } else {
-            self.ledger.idle += cycles;
-            self.attributed.add_idle(cycles);
-        }
+        self.emit(
+            at,
+            Tag::new(pid, Callsite::Compute),
+            Event::Compute { pid, user, custom, soft, hw_dispatches, sw_dispatches },
+        );
     }
 
     /// The folded statistics.
     pub fn stats(&self) -> &KernelStats {
         &self.stats
-    }
-
-    /// The folded cycle-attribution ledger.
-    pub fn ledger(&self) -> &CycleLedger {
-        &self.ledger
     }
 
     /// The per-process × per-callsite attribution matrix.
@@ -931,16 +875,25 @@ mod tests {
         let sched = Tag::new(1, Callsite::ContextSwitch);
         let miss = Tag::new(1, Callsite::TlbMiss);
         let reconf = Tag::new(1, Callsite::Reconfiguration);
-        probe.emit(0, sched, Event::Spawn { pid: 1 });
-        probe.emit(10, Tag::new(1, Callsite::Compute), Event::Compute { pid: 1, user: 7, custom: 2, soft: 1, hw_dispatches: 1, sw_dispatches: 1 });
-        probe.emit(10, miss, Event::Fault { key, cost: 120 });
-        probe.emit(10, reconf, Event::BusTransfer { words: 100, cost: 164 });
-        probe.emit(10, reconf, Event::ConfigLoad { key, pfu: 0 });
-        probe.emit(10, reconf, Event::TlbProgram { key, soft: false, evicted: true, cost: 12 });
-        probe.emit(306, Tag::new(1, Callsite::Syscall), Event::Syscall { pid: 1, number: 0, cost: 40 });
-        probe.emit(306, Tag::kernel(Callsite::Idle), Event::Idle { cycles: 50 });
+        let stream = [
+            (0, sched, Event::Spawn { pid: 1 }),
+            (10, Tag::new(1, Callsite::Compute), Event::Compute { pid: 1, user: 7, custom: 2, soft: 1, hw_dispatches: 1, sw_dispatches: 1 }),
+            (10, miss, Event::Fault { key, cost: 120 }),
+            (10, reconf, Event::BusTransfer { words: 100, cost: 164 }),
+            (10, reconf, Event::ConfigLoad { key, pfu: 0 }),
+            (10, reconf, Event::TlbProgram { key, soft: false, evicted: true, cost: 12 }),
+            (306, Tag::new(1, Callsite::Syscall), Event::Syscall { pid: 1, number: 0, cost: 40 }),
+            (306, Tag::kernel(Callsite::Idle), Event::Idle { cycles: 50 }),
+        ];
+        // A plain CycleLedger folds the same stream independently of
+        // the probe's attribution matrix.
+        let mut plain = CycleLedger::default();
+        for (at, tag, event) in stream {
+            probe.emit(at, tag, event);
+            plain.on_event(at, tag, &event);
+        }
 
-        let l = probe.ledger();
+        let l = &plain;
         assert_eq!(l.user_compute, 7);
         assert_eq!(l.custom_execute, 2);
         assert_eq!(l.soft_dispatch, 1);
@@ -960,8 +913,8 @@ mod tests {
 
         assert_eq!(probe.trace().len(), 8);
 
-        // Attribution conserves: the matrix refolds to the ledger, and
-        // the cells land where the tags said.
+        // Attribution conserves: the matrix refolds to the plain fold,
+        // and the cells land where the tags said.
         let a = probe.attributed();
         assert_eq!(&a.refold(), l);
         assert_eq!(a.total(), l.total());
@@ -1004,7 +957,7 @@ mod tests {
             let category = stack.rsplit(';').next().expect("has a category frame");
             *by_category.entry(category).or_default() += value.parse::<u64>().expect("count");
         }
-        for (name, value) in CycleLedger::CATEGORIES.iter().zip(probe.ledger().values()) {
+        for (name, value) in CycleLedger::CATEGORIES.iter().zip(probe.attributed().refold().values()) {
             assert_eq!(by_category.get(name).copied().unwrap_or(0), value, "{name}");
         }
 
@@ -1029,7 +982,7 @@ mod tests {
         probe.emit(33, rungs, Event::SoftwareFailover { key, pfu: 2, cost: 12 });
         probe.emit(40, rungs, Event::Quarantine { pfu: 2 });
 
-        let l = probe.ledger();
+        let l = probe.attributed().refold();
         assert_eq!(l.fault_detection, 250 + 30 + 400);
         assert_eq!(l.fault_recovery, 13_600 + 12);
         assert_eq!(l.total(), 250 + 30 + 400 + 13_600 + 12);
@@ -1046,27 +999,7 @@ mod tests {
     }
 
     #[test]
-    fn span_fast_path_matches_event_fold() {
-        // Same spans through the fast path (no observers) and the full
-        // event path (trace enabled) must produce identical ledgers.
-        let mut fast = Probe::new(0);
-        assert!(!fast.needs_events());
-        fast.compute_span(10, 1, 7, 2, 1, 1, 1);
-        fast.idle_span(60, 50);
-
-        let mut slow = Probe::new(16);
-        assert!(slow.needs_events());
-        slow.compute_span(10, 1, 7, 2, 1, 1, 1);
-        slow.idle_span(60, 50);
-
-        assert_eq!(fast.ledger(), slow.ledger());
-        assert_eq!(fast.attributed(), slow.attributed(), "attribution matches too");
-        assert_eq!(fast.trace().len(), 0);
-        assert_eq!(slow.trace().len(), 2, "observers still get the events");
-    }
-
-    #[test]
-    fn extra_sinks_flip_spans_back_to_events() {
+    fn spans_reach_extra_sinks_as_events() {
         struct Seen(std::sync::mpsc::Sender<String>);
         impl EventSink for Seen {
             fn on_event(&mut self, _at: u64, _tag: Tag, event: &Event) {
@@ -1076,9 +1009,8 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         let mut probe = Probe::new(0);
         probe.add_sink(Box::new(Seen(tx)));
-        assert!(probe.needs_events());
         probe.compute_span(10, 1, 7, 2, 1, 0, 0);
-        probe.idle_span(60, 50);
+        probe.emit(60, Tag::kernel(Callsite::Idle), Event::Idle { cycles: 50 });
         let seen: Vec<String> = rx.try_iter().collect();
         assert_eq!(seen, vec!["compute pid=1 user=7 custom=2 soft=1", "idle 50"]);
     }

@@ -22,9 +22,8 @@
 //! [`ScenarioJob`](crate::runner::ScenarioJob) per independent
 //! simulation. The plan is executed — serially or on a worker pool —
 //! by [`crate::runner`], which guarantees the assembled
-//! [`SeriesSet`] is identical at any worker count. The historical
-//! eager functions ([`fig2`], [`fig3`], …) remain as thin serial
-//! wrappers (`plan.execute(1)`).
+//! [`SeriesSet`](crate::series::SeriesSet) is identical at any worker
+//! count; `plan.execute(1)` runs it serially.
 //!
 //! Workload sizes are scaled (see DESIGN.md §3): completion times are
 //! smaller than the paper's absolute numbers by a constant factor, but
@@ -45,7 +44,7 @@ use proteus_rfu::RfuConfig;
 use crate::machine::{Machine, MachineConfig};
 use crate::runner::{ExperimentPlan, JobOutput};
 use crate::scenario::Scenario;
-use crate::series::{Series, SeriesSet};
+use crate::series::Series;
 
 /// The quantum the paper calls batch scheduling: 10 ms at the DESIGN.md
 /// 100 MHz clock.
@@ -239,11 +238,6 @@ pub fn fig2_plan(scale: &Scale) -> ExperimentPlan {
     plan
 }
 
-/// Serial wrapper over [`fig2_plan`].
-pub fn fig2(scale: &Scale) -> SeriesSet {
-    fig2_plan(scale).execute(1).0
-}
-
 /// **Figure 3 — Software Dispatch Test.** The same axes, comparing
 /// round-robin circuit switching against deferring to the software
 /// alternative once the array is full. The paper plots Echo and Alpha
@@ -283,11 +277,6 @@ pub fn fig3_plan(scale: &Scale) -> ExperimentPlan {
     plan
 }
 
-/// Serial wrapper over [`fig3_plan`].
-pub fn fig3(scale: &Scale) -> SeriesSet {
-    fig3_plan(scale).execute(1).0
-}
-
 /// **T-acc — the speedup claim.** Single-instance accelerated vs.
 /// pure-software completion per application; the paper states "all runs
 /// performed an order of magnitude faster than the unaccelerated
@@ -324,11 +313,6 @@ pub fn speedup_plan(scale: &Scale) -> ExperimentPlan {
     })
 }
 
-/// Serial wrapper over [`speedup_plan`].
-pub fn speedup(scale: &Scale) -> SeriesSet {
-    speedup_plan(scale).execute(1).0
-}
-
 /// **A1 — replacement policies.** Alpha at the 1 ms quantum (heavy
 /// swapping) under all five victim-selection policies.
 pub fn ablation_policies_plan(scale: &Scale) -> ExperimentPlan {
@@ -353,11 +337,6 @@ pub fn ablation_policies_plan(scale: &Scale) -> ExperimentPlan {
     plan
 }
 
-/// Serial wrapper over [`ablation_policies_plan`].
-pub fn ablation_policies(scale: &Scale) -> SeriesSet {
-    ablation_policies_plan(scale).execute(1).0
-}
-
 /// **A2 — quantum sweep**, including the 100 ms NT/BSD point the
 /// discussion predicts would help further.
 pub fn ablation_quanta_plan(scale: &Scale) -> ExperimentPlan {
@@ -378,11 +357,6 @@ pub fn ablation_quanta_plan(scale: &Scale) -> ExperimentPlan {
         );
     }
     plan
-}
-
-/// Serial wrapper over [`ablation_quanta_plan`].
-pub fn ablation_quanta(scale: &Scale) -> SeriesSet {
-    ablation_quanta_plan(scale).execute(1).0
 }
 
 /// **A3 — PFU count.** The paper limited the chip to 4 PFUs "to
@@ -408,11 +382,6 @@ pub fn ablation_pfus_plan(scale: &Scale) -> ExperimentPlan {
     plan
 }
 
-/// Serial wrapper over [`ablation_pfus_plan`].
-pub fn ablation_pfus(scale: &Scale) -> SeriesSet {
-    ablation_pfus_plan(scale).execute(1).0
-}
-
 /// **A4 — split configuration.** The §4.1 design saves only state
 /// frames on unload; the ablation also writes back the full static
 /// configuration, doubling bus traffic per swap.
@@ -433,11 +402,6 @@ pub fn ablation_config_split_plan(scale: &Scale) -> ExperimentPlan {
     plan
 }
 
-/// Serial wrapper over [`ablation_config_split_plan`].
-pub fn ablation_config_split(scale: &Scale) -> SeriesSet {
-    ablation_config_split_plan(scale).execute(1).0
-}
-
 /// **A5 — dispatch-TLB capacity.** With fewer TLB slots than live
 /// tuples, resident circuits take mapping faults (§4.2's cheap path) —
 /// visible but far milder than reconfiguration.
@@ -455,11 +419,6 @@ pub fn ablation_tlb_plan(scale: &Scale) -> ExperimentPlan {
         });
     }
     plan
-}
-
-/// Serial wrapper over [`ablation_tlb_plan`].
-pub fn ablation_tlb(scale: &Scale) -> SeriesSet {
-    ablation_tlb_plan(scale).execute(1).0
 }
 
 /// **A7 — the software-dispatch crossover.** §5.1.3 concludes software
@@ -492,11 +451,6 @@ pub fn ablation_soft_crossover_plan(scale: &Scale) -> ExperimentPlan {
     plan
 }
 
-/// Serial wrapper over [`ablation_soft_crossover_plan`].
-pub fn ablation_soft_crossover(scale: &Scale) -> SeriesSet {
-    ablation_soft_crossover_plan(scale).execute(1).0
-}
-
 /// **A8 — circuit sharing (§4.2).** The paper disables sharing "since we
 /// are interested in the effect of overloading", noting that "in the
 /// final system applications using the same circuits would attempt to
@@ -518,11 +472,6 @@ pub fn ablation_sharing_plan(scale: &Scale) -> ExperimentPlan {
         });
     }
     plan
-}
-
-/// Serial wrapper over [`ablation_sharing_plan`].
-pub fn ablation_sharing(scale: &Scale) -> SeriesSet {
-    ablation_sharing_plan(scale).execute(1).0
 }
 
 /// **D1 — dynamic scheduling loads** (the paper's §6 future work): mean
@@ -556,17 +505,11 @@ pub fn dynamic_load_plan(scale: &Scale) -> ExperimentPlan {
                 let result = load.run().unwrap_or_else(|e| panic!("{name} gap={gap}: {e}"));
                 assert!(result.valid, "{name} gap={gap}: checksum mismatch");
                 JobOutput::point(gap as f64, result.mean_turnaround, result.makespan)
-                    .with_breakdown(gap as f64, result.total_cycles, result.ledger)
-                    .with_attribution(result.attributed)
+                    .with_breakdown(gap as f64, result.attributed)
             });
         }
     }
     plan
-}
-
-/// Serial wrapper over [`dynamic_load_plan`].
-pub fn dynamic_load(scale: &Scale) -> SeriesSet {
-    dynamic_load_plan(scale).execute(1).0
 }
 
 /// Outcome codes for one fault-campaign cell (the y values of the
@@ -695,16 +638,10 @@ fn fault_campaign_cell(plan: &mut ExperimentPlan, series: String, x: f64, scenar
         };
         let overhead = result.ledger.fault_detection + result.ledger.fault_recovery;
         JobOutput::point(x, result.makespan as f64, result.makespan)
-            .with_breakdown(x, result.total_cycles, result.ledger)
-            .with_attribution(result.attributed)
+            .with_breakdown(x, result.attributed)
             .with_extra(outcome_series, x, code)
             .with_extra(overhead_series, x, overhead as f64)
     });
-}
-
-/// Serial wrapper over [`fault_campaign_plan`].
-pub fn fault_campaign(scale: &Scale) -> SeriesSet {
-    fault_campaign_plan(scale).execute(1).0
 }
 
 /// **A6 — interruptible long instructions (§4.4).** A synthetic process
@@ -759,23 +696,18 @@ pub fn ablation_long_instructions_plan() -> ExperimentPlan {
             JobOutput {
                 points: vec![(0.0, overshoot as f64), (1.0, report.makespan as f64)],
                 sim_cycles: report.makespan,
-                breakdown: vec![(0.0, machine.cycles(), report.ledger)],
-                attributed: report.attributed,
-                extra: Vec::new(),
+                ..JobOutput::default()
             }
+            .with_breakdown(0.0, report.attributed)
         });
     }
     plan
 }
 
-/// Serial wrapper over [`ablation_long_instructions_plan`].
-pub fn ablation_long_instructions() -> SeriesSet {
-    ablation_long_instructions_plan().execute(1).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::SeriesSet;
 
     fn tiny() -> Scale {
         Scale { target_cycles: 400_000, max_instances: 3, seed: 7 }
@@ -783,7 +715,7 @@ mod tests {
 
     #[test]
     fn fig2_produces_twelve_series() {
-        let set = fig2(&tiny());
+        let set = fig2_plan(&tiny()).execute(1).0;
         assert_eq!(set.series.len(), 12);
         for s in &set.series {
             assert_eq!(s.points.len(), 3, "{}", s.name);
@@ -794,14 +726,14 @@ mod tests {
 
     #[test]
     fn fig3_soft_series_exist() {
-        let set = fig3(&tiny());
+        let set = fig3_plan(&tiny()).execute(1).0;
         assert_eq!(set.series.len(), 12);
         assert!(set.series.iter().any(|s| s.name.contains("Soft")));
     }
 
     #[test]
     fn speedup_is_substantial() {
-        let set = speedup(&tiny());
+        let set = speedup_plan(&tiny()).execute(1).0;
         let ratios = set.series_named("speedup_factor").expect("ratios");
         for p in &ratios.points {
             assert!(p.y > 1.5, "speedup {} too small", p.y);
@@ -810,7 +742,7 @@ mod tests {
 
     #[test]
     fn long_instruction_ablation_shows_latency_gap() {
-        let set = ablation_long_instructions();
+        let set = ablation_long_instructions_plan().execute(1).0;
         let good = set.series_named("interruptible (status register)").expect("series").points[0].y;
         let bad = set.series_named("run to completion").expect("series").points[0].y;
         assert!(bad > good, "uninterruptible overshoot {bad} should exceed {good}");
@@ -843,7 +775,7 @@ mod tests {
 
     #[test]
     fn fault_campaign_emits_every_cell_with_outcomes() {
-        let set = fault_campaign(&tiny());
+        let set = fault_campaign_plan(&tiny()).execute(1).0;
         // 1 baseline + 9 grid series, each with outcome + overhead
         // siblings, plus the outcome_counts summary.
         assert_eq!(set.series.len(), 31, "{:?}", series_names(&set));

@@ -1,7 +1,7 @@
 //! The assembled ProteanARM workstation.
 
 use porsche::kernel::{Kernel, KernelConfig, KernelError, RunReport, SpawnSpec};
-use porsche::probe::{CycleLedger, EventSink};
+use porsche::probe::EventSink;
 use porsche::process::Pid;
 use proteus_cpu::Cpu;
 use proteus_rfu::{Rfu, RfuConfig};
@@ -75,11 +75,6 @@ impl Machine {
             self.cpu.add_cycles(cycle - now);
             self.kernel.note_idle(now, cycle - now);
         }
-    }
-
-    /// The cycle-attribution ledger folded so far.
-    pub fn ledger(&self) -> &CycleLedger {
-        self.kernel.ledger()
     }
 
     /// Attach an extra observer to the machine's event stream.

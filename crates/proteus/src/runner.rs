@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use porsche::probe::{AttributedLedger, CycleLedger};
+use porsche::probe::AttributedLedger;
 
 use crate::scenario::Scenario;
 use crate::series::{BreakdownRow, BreakdownSet, Series, SeriesSet};
@@ -43,9 +43,10 @@ pub struct JobOutput {
     pub points: Vec<(f64, f64)>,
     /// Simulated cycles this job advanced (for throughput accounting).
     pub sim_cycles: u64,
-    /// `(x, total_cycles, ledger)` cycle-attribution rows appended to the
-    /// plan's [`BreakdownSet`], in order.
-    pub breakdown: Vec<(f64, u64, CycleLedger)>,
+    /// The x of the job's cycle-attribution row in the plan's
+    /// [`BreakdownSet`]; the row's ledger is `attributed.refold()`.
+    /// `None` contributes no row.
+    pub breakdown: Option<f64>,
     /// Per-process × per-callsite attribution, absorbed into the plan's
     /// merged [`PlanMetrics::attributed`] ledger (cell-wise u64 sums, so
     /// the merge commutes and worker count cannot affect the result).
@@ -64,24 +65,19 @@ impl JobOutput {
         Self {
             points: vec![(x, y)],
             sim_cycles,
-            breakdown: Vec::new(),
+            breakdown: None,
             attributed: AttributedLedger::default(),
             extra: Vec::new(),
         }
     }
 
-    /// Attach a cycle-attribution row for `x`.
+    /// Attach the run's per-process × per-callsite ledger: it feeds
+    /// the plan-wide fold behind the flamegraph exporter, and its
+    /// refold becomes the breakdown row for `x`.
     #[must_use]
-    pub fn with_breakdown(mut self, x: f64, total: u64, ledger: CycleLedger) -> Self {
-        self.breakdown.push((x, total, ledger));
-        self
-    }
-
-    /// Attach the run's per-process × per-callsite ledger (absorbed into
-    /// the plan-wide fold that feeds the flamegraph exporter).
-    #[must_use]
-    pub fn with_attribution(mut self, attributed: AttributedLedger) -> Self {
-        self.attributed.absorb(&attributed);
+    pub fn with_breakdown(mut self, x: f64, attributed: AttributedLedger) -> Self {
+        self.breakdown = Some(x);
+        self.attributed = attributed;
         self
     }
 
@@ -202,8 +198,7 @@ impl ExperimentPlan {
             let result = scenario.run().unwrap_or_else(|e| panic!("{label} x={x}: {e}"));
             assert!(result.all_valid(), "{label} x={x}: checksum mismatch");
             JobOutput::point(x, result.makespan as f64, result.makespan)
-                .with_breakdown(x, result.total_cycles, result.ledger)
-                .with_attribution(result.attributed)
+                .with_breakdown(x, result.attributed)
         });
     }
 
@@ -322,8 +317,9 @@ impl ExperimentPlan {
             job_wall += dur;
             sim_cycles += output.sim_cycles;
             attributed.absorb(&output.attributed);
-            for (x, total, ledger) in output.breakdown {
-                breakdown.rows.push(BreakdownRow { series: name.clone(), x, total, ledger });
+            if let Some(x) = output.breakdown {
+                let ledger = output.attributed.refold();
+                breakdown.rows.push(BreakdownRow { series: name.clone(), x, ledger });
             }
             let idx = series_index(&mut set, name);
             for (x, y) in output.points {
@@ -485,27 +481,26 @@ mod tests {
     #[test]
     fn scenario_point_runs_a_real_simulation() {
         use proteus_apps::AppKind;
+        let scenario = Scenario::new(AppKind::Alpha).size(16).passes(1);
+        let clock = scenario.run().expect("direct run").total_cycles;
         let mut plan = ExperimentPlan::new("real");
-        plan.scenario_point(
-            "alpha",
-            1.0,
-            Scenario::new(AppKind::Alpha).size(16).passes(1),
-        );
+        plan.scenario_point("alpha", 1.0, scenario);
         let (set, metrics) = plan.execute(2);
         assert_eq!(set.series.len(), 1);
         assert!(set.series[0].points[0].y > 0.0);
         assert!(metrics.sim_cycles > 0);
         assert!(metrics.sim_cycles_per_host_second() > 0.0);
         // Every scenario job contributes one attribution row, and the
-        // ledger conserves the run's total cycles.
+        // ledger conserves the run's clock (read from a direct run of
+        // the same deterministic scenario).
         assert_eq!(metrics.breakdown.rows.len(), 1);
         let row = &metrics.breakdown.rows[0];
         assert_eq!(row.series, "alpha");
-        assert_eq!(row.ledger.total(), row.total);
-        assert!(row.total > 0);
+        assert!(clock > 0);
+        assert_eq!(row.ledger.total(), clock);
         // The plan-wide attributed fold refolds to exactly the same
         // ledger (one job here, so plan fold == job fold).
         assert_eq!(metrics.attributed.refold(), row.ledger);
-        assert_eq!(metrics.attributed.total(), row.total);
+        assert_eq!(metrics.attributed.total(), clock);
     }
 }

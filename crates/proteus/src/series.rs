@@ -119,16 +119,14 @@ impl SeriesSet {
     }
 }
 
-/// One job's cycle attribution: which series/x it belongs to, the total
-/// simulated cycles of that run, and the per-category ledger.
+/// One job's cycle attribution: which series/x it belongs to and the
+/// per-category ledger (whose total is the run's simulated cycles).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BreakdownRow {
     /// Legend label of the series the job contributed to.
     pub series: String,
     /// X value of the corresponding [`Point`].
     pub x: f64,
-    /// Total simulated cycles of the run (== `ledger.total()`).
-    pub total: u64,
     /// Per-category attribution.
     pub ledger: CycleLedger,
 }
@@ -149,15 +147,6 @@ impl BreakdownSet {
         Self { figure: figure.into(), rows: Vec::new() }
     }
 
-    /// Sum of every row's ledger (for aggregate reporting).
-    pub fn aggregate(&self) -> CycleLedger {
-        let mut total = CycleLedger::default();
-        for row in &self.rows {
-            total.absorb(&row.ledger);
-        }
-        total
-    }
-
     /// Long-format CSV: `figure,series,x,total,<one column per ledger
     /// category>` in [`CycleLedger::CATEGORIES`] order.
     pub fn to_csv(&self) -> String {
@@ -167,7 +156,7 @@ impl BreakdownSet {
         }
         out.push('\n');
         for row in &self.rows {
-            let _ = write!(out, "{},{},{},{}", self.figure, row.series, row.x, row.total);
+            let _ = write!(out, "{},{},{},{}", self.figure, row.series, row.x, row.ledger.total());
             for v in row.ledger.values() {
                 let _ = write!(out, ",{v}");
             }
@@ -194,7 +183,7 @@ mod tests {
     fn breakdown_csv_has_one_column_per_category() {
         let mut set = BreakdownSet::new("figX");
         let ledger = CycleLedger { user_compute: 70, idle: 30, ..CycleLedger::default() };
-        set.rows.push(BreakdownRow { series: "a".into(), x: 2.0, total: 100, ledger });
+        set.rows.push(BreakdownRow { series: "a".into(), x: 2.0, ledger });
         let csv = set.to_csv();
         let mut lines = csv.lines();
         let header = lines.next().expect("header");
@@ -202,7 +191,6 @@ mod tests {
         assert!(header.starts_with("figure,series,x,total,user_compute,"));
         let row = lines.next().expect("row");
         assert!(row.starts_with("figX,a,2,100,70,"));
-        assert_eq!(set.aggregate().total(), 100);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Behavioral circuit models.
+//! Behavioral circuit model.
 //!
 //! The scheduling experiments need circuits whose *timing behaviour*
-//! (latency, statefulness, the init/done protocol) matches real hardware
-//! without paying gate-level simulation costs on every invocation. These
-//! models implement [`PfuCircuit`] exactly like [`crate::NetlistCircuit`]
-//! does; for the alpha-blend instruction the integration tests prove the
-//! behavioral model equivalent to the gate-level one.
+//! (latency, the init/done protocol, resumable progress) matches real
+//! hardware without paying gate-level simulation costs on every
+//! invocation. [`FixedLatency`] implements [`PfuCircuit`] exactly like
+//! [`crate::NetlistCircuit`] does; for the alpha-blend instruction the
+//! integration tests prove the behavioral model equivalent to the
+//! gate-level one.
 
 use proteus_fabric::FabricError;
 
@@ -120,224 +121,6 @@ impl PfuCircuit for FixedLatency {
     }
 }
 
-/// A stateful instruction: `f(state, op_a, op_b) -> (state', result)`
-/// with fixed latency. Models circuits whose CLB registers carry data
-/// *between* invocations (e.g. chaining modes, accumulators) — the case
-/// that makes state preservation across swaps mandatory (§4.1).
-pub struct StatefulLatency {
-    name: &'static str,
-    latency: u32,
-    func: fn(u32, u32, u32) -> (u32, u32),
-    state: u32,
-    elapsed: u32,
-    latched: (u32, u32),
-    state_words: usize,
-}
-
-impl std::fmt::Debug for StatefulLatency {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StatefulLatency")
-            .field("name", &self.name)
-            .field("latency", &self.latency)
-            .field("state", &self.state)
-            .finish()
-    }
-}
-
-impl StatefulLatency {
-    /// Create a stateful model. `func(state, op_a, op_b)` returns the new
-    /// state and the result; it is applied on the completing cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `latency` is zero.
-    pub fn new(
-        name: &'static str,
-        latency: u32,
-        state_words: usize,
-        initial_state: u32,
-        func: fn(u32, u32, u32) -> (u32, u32),
-    ) -> Self {
-        assert!(latency > 0, "instructions take at least one cycle");
-        Self { name, latency, func, state: initial_state, elapsed: 0, latched: (0, 0), state_words }
-    }
-
-    /// Current inter-invocation state word.
-    pub fn state(&self) -> u32 {
-        self.state
-    }
-}
-
-impl PfuCircuit for StatefulLatency {
-    fn clock(&mut self, op_a: u32, op_b: u32, init: bool) -> CircuitClock {
-        if init {
-            self.elapsed = 0;
-            self.latched = (op_a, op_b);
-        }
-        self.elapsed += 1;
-        if self.elapsed >= self.latency {
-            let (a, b) = self.latched;
-            self.elapsed = 0;
-            let (next, result) = (self.func)(self.state, a, b);
-            self.state = next;
-            CircuitClock { result, done: true }
-        } else {
-            CircuitClock { result: 0, done: false }
-        }
-    }
-
-    fn run_clocks(&mut self, op_a: u32, op_b: u32, init: bool, budget: u64) -> (u64, Option<u32>) {
-        if init {
-            self.elapsed = 0;
-            self.latched = (op_a, op_b);
-        }
-        let remaining = u64::from(self.latency.saturating_sub(self.elapsed)).max(1);
-        if remaining <= budget {
-            let (a, b) = self.latched;
-            self.elapsed = 0;
-            let (next, result) = (self.func)(self.state, a, b);
-            self.state = next;
-            (remaining, Some(result))
-        } else {
-            self.elapsed += budget as u32;
-            (budget, None)
-        }
-    }
-
-    fn save_state(&self) -> CircuitState {
-        let mut words = vec![0u32; self.state_words.max(4)];
-        words[0] = self.elapsed;
-        words[1] = self.latched.0;
-        words[2] = self.latched.1;
-        words[3] = self.state;
-        CircuitState(words)
-    }
-
-    fn load_state(&mut self, state: &CircuitState) -> Result<(), FabricError> {
-        if state.0.len() < 4 {
-            return Err(FabricError::StateMismatch {
-                detail: format!("{} needs ≥4 state words, got {}", self.name, state.0.len()),
-            });
-        }
-        self.elapsed = state.0[0];
-        self.latched = (state.0[1], state.0[2]);
-        self.state = state.0[3];
-        Ok(())
-    }
-
-    fn state_words(&self) -> usize {
-        self.state_words.max(4)
-    }
-}
-
-/// A fixed-latency instruction whose function captures configuration
-/// data — e.g. a key-specialised bitstream like the Twofish g-function
-/// circuit, where the key schedule is baked into LUT contents.
-pub struct Keyed {
-    name: &'static str,
-    latency: u32,
-    func: Box<dyn Fn(u32, u32) -> u32>,
-    elapsed: u32,
-    latched: (u32, u32),
-    state_words: usize,
-}
-
-impl std::fmt::Debug for Keyed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Keyed")
-            .field("name", &self.name)
-            .field("latency", &self.latency)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Keyed {
-    /// Create a keyed model; see [`FixedLatency::new`] for the timing
-    /// contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `latency` is zero.
-    pub fn new(
-        name: &'static str,
-        latency: u32,
-        state_words: usize,
-        func: Box<dyn Fn(u32, u32) -> u32>,
-    ) -> Self {
-        assert!(latency > 0, "instructions take at least one cycle");
-        Self { name, latency, func, elapsed: 0, latched: (0, 0), state_words }
-    }
-}
-
-impl PfuCircuit for Keyed {
-    fn clock(&mut self, op_a: u32, op_b: u32, init: bool) -> CircuitClock {
-        if init {
-            self.elapsed = 0;
-            self.latched = (op_a, op_b);
-        }
-        self.elapsed += 1;
-        if self.elapsed >= self.latency {
-            let (a, b) = self.latched;
-            self.elapsed = 0;
-            CircuitClock { result: (self.func)(a, b), done: true }
-        } else {
-            CircuitClock { result: 0, done: false }
-        }
-    }
-
-    fn run_clocks(&mut self, op_a: u32, op_b: u32, init: bool, budget: u64) -> (u64, Option<u32>) {
-        if init {
-            self.elapsed = 0;
-            self.latched = (op_a, op_b);
-        }
-        let remaining = u64::from(self.latency.saturating_sub(self.elapsed)).max(1);
-        if remaining <= budget {
-            let (a, b) = self.latched;
-            self.elapsed = 0;
-            (remaining, Some((self.func)(a, b)))
-        } else {
-            self.elapsed += budget as u32;
-            (budget, None)
-        }
-    }
-
-    fn save_state(&self) -> CircuitState {
-        let mut words = vec![0u32; self.state_words.max(3)];
-        words[0] = self.elapsed;
-        words[1] = self.latched.0;
-        words[2] = self.latched.1;
-        CircuitState(words)
-    }
-
-    fn load_state(&mut self, state: &CircuitState) -> Result<(), FabricError> {
-        if state.0.len() < 3 {
-            return Err(FabricError::StateMismatch {
-                detail: format!("{} needs ≥3 state words, got {}", self.name, state.0.len()),
-            });
-        }
-        self.elapsed = state.0[0];
-        self.latched = (state.0[1], state.0[2]);
-        Ok(())
-    }
-
-    fn state_words(&self) -> usize {
-        self.state_words.max(3)
-    }
-}
-
-/// The behavioral twin of the gate-level alpha-blend channel circuit
-/// ([`proteus_fabric::library::alpha_blend_channel`]): 2 cycles,
-/// `op_a` = channel | α<<8, `op_b` = destination channel.
-pub fn alpha_blend() -> FixedLatency {
-    FixedLatency::new("alpha_blend", 2, 16, |a, b| {
-        u32::from(proteus_fabric::library::alpha_blend_ref(
-            (a & 0xFF) as u8,
-            (b & 0xFF) as u8,
-            ((a >> 8) & 0xFF) as u8,
-        ))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,22 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn stateful_run_clocks_matches_per_cycle_clocking() {
-        let f = |s: u32, a: u32, b: u32| (s.wrapping_add(a), s ^ b);
-        let mut fast = StatefulLatency::new("acc", 3, 4, 7, f);
-        let mut slow = StatefulLatency::new("acc", 3, 4, 7, f);
-        let mut init = true;
-        for budget in [2u64, 2, 5, 1, 1, 1, 8] {
-            let a = fast.run_clocks(11, 4, init, budget);
-            let b = default_run(&mut slow, 11, 4, init, budget);
-            assert_eq!(a, b, "budget={budget}");
-            init = a.1.is_some();
-        }
-        assert_eq!(fast.state(), slow.state());
-        assert_eq!(fast.save_state().0, slow.save_state().0);
-    }
-
-    #[test]
     fn fixed_latency_counts_cycles() {
         let mut c = FixedLatency::new("add3", 3, 4, |a, b| a + b);
         assert!(!c.clock(1, 2, true).done);
@@ -430,26 +197,6 @@ mod tests {
         let out = c2.clock(7, 8, false);
         assert!(out.done);
         assert_eq!(out.result, 15);
-    }
-
-    #[test]
-    fn stateful_latency_chains() {
-        let mut c = StatefulLatency::new("xoracc", 1, 4, 0, |s, a, _| (s ^ a, s ^ a));
-        assert_eq!(c.clock(0b1010, 0, true).result, 0b1010);
-        assert_eq!(c.clock(0b0110, 0, true).result, 0b1100);
-        assert_eq!(c.state(), 0b1100);
-    }
-
-    #[test]
-    fn alpha_blend_matches_gate_level_reference() {
-        let mut c = alpha_blend();
-        for (a, b, alpha) in [(0u8, 0u8, 0u8), (255, 0, 255), (10, 200, 77)] {
-            let op_a = u32::from(a) | (u32::from(alpha) << 8);
-            c.clock(op_a, u32::from(b), true);
-            let out = c.clock(op_a, u32::from(b), false);
-            assert!(out.done);
-            assert_eq!(out.result as u8, proteus_fabric::library::alpha_blend_ref(a, b, alpha));
-        }
     }
 
     #[test]

@@ -24,10 +24,13 @@ cargo run --release -p proteus-bench --bin repro -- \
     --quick --jobs 2 --out "$parallel_dir" fig2 >/dev/null
 diff "$serial_dir/fig2.csv" "$parallel_dir/fig2.csv"
 diff "$serial_dir/breakdown_fig2.csv" "$parallel_dir/breakdown_fig2.csv"
+# A change that shifts every row alike passes the job-count diff, so the
+# quick-scale cycle breakdown is also pinned by a committed golden.
+diff scripts/golden/breakdown_fig2_quick.csv "$serial_dir/breakdown_fig2.csv"
 for f in "$serial_dir/summary.json" "$parallel_dir/summary.json"; do
     test -s "$f" || { echo "missing $f" >&2; exit 1; }
 done
-echo "CSVs byte-identical across job counts; summary.json emitted"
+echo "CSVs byte-identical across job counts and the breakdown golden; summary.json emitted"
 
 echo "== fault-campaign smoke (quick scale, --jobs 1 vs --jobs 2, golden diff) =="
 cargo run --release -p proteus-bench --bin repro -- \
@@ -39,7 +42,8 @@ diff "$serial_dir/breakdown_fault_campaign.csv" "$parallel_dir/breakdown_fault_c
 # Fault injection is seeded: the quick-scale campaign must reproduce the
 # committed golden matrix bit-for-bit on every host.
 diff scripts/golden/fault_campaign_quick.csv "$serial_dir/fault_campaign.csv"
-echo "fault campaign deterministic and matches the golden matrix"
+diff scripts/golden/breakdown_fault_campaign_quick.csv "$serial_dir/breakdown_fault_campaign.csv"
+echo "fault campaign deterministic and matches the golden matrix and breakdown"
 
 echo "== profiling exports (folded determinism, golden diff, Chrome trace) =="
 cargo run --release -p proteus-bench --bin repro -- \
