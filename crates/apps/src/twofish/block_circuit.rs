@@ -25,6 +25,18 @@ use super::cipher::Twofish;
 /// Rounds-plus-whitening latency of the encrypting invocation.
 pub const ENCRYPT_LATENCY: u32 = 20;
 
+/// The last phase of the five-invocation protocol (emitting `ct3`).
+const LAST_PHASE: u32 = 4;
+
+/// Clocks the invocation in `phase` takes.
+fn phase_latency(phase: u32) -> u32 {
+    if phase == 1 {
+        ENCRYPT_LATENCY
+    } else {
+        1
+    }
+}
+
 /// The phase-machine block cipher circuit.
 #[derive(Debug, Clone)]
 pub struct BlockCircuit {
@@ -49,25 +61,9 @@ impl BlockCircuit {
         }
     }
 
-    fn latency(&self) -> u32 {
-        if self.phase == 1 {
-            ENCRYPT_LATENCY
-        } else {
-            1
-        }
-    }
-}
-
-impl PfuCircuit for BlockCircuit {
-    fn clock(&mut self, op_a: u32, op_b: u32, init: bool) -> CircuitClock {
-        if init {
-            self.elapsed = 0;
-            self.latched = (op_a, op_b);
-        }
-        self.elapsed += 1;
-        if self.elapsed < self.latency() {
-            return CircuitClock { result: 0, done: false };
-        }
+    /// The invocation's final clock: act on the latched operands,
+    /// advance the phase machine and return the result-bus value.
+    fn complete(&mut self) -> u32 {
         self.elapsed = 0;
         let (a, b) = self.latched;
         let (result, next_phase) = match self.phase {
@@ -91,11 +87,41 @@ impl PfuCircuit for BlockCircuit {
             }
             p => {
                 let idx = (p - 1) as usize;
-                (self.ct[idx], if p == 4 { 0 } else { p + 1 })
+                (self.ct[idx], if p == LAST_PHASE { 0 } else { p + 1 })
             }
         };
         self.phase = next_phase;
-        CircuitClock { result, done: true }
+        result
+    }
+}
+
+impl PfuCircuit for BlockCircuit {
+    fn clock(&mut self, op_a: u32, op_b: u32, init: bool) -> CircuitClock {
+        if init {
+            self.elapsed = 0;
+            self.latched = (op_a, op_b);
+        }
+        self.elapsed += 1;
+        if self.elapsed < phase_latency(self.phase) {
+            return CircuitClock { result: 0, done: false };
+        }
+        CircuitClock { result: self.complete(), done: true }
+    }
+
+    fn run_clocks(&mut self, op_a: u32, op_b: u32, init: bool, budget: u64) -> (u64, Option<u32>) {
+        if init {
+            self.elapsed = 0;
+            self.latched = (op_a, op_b);
+        }
+        // `done` rises on the clock where elapsed reaches the phase's
+        // latency. `elapsed` stays below it (`load_state` rejects frames
+        // that break this), so at least one clock remains.
+        let remaining = u64::from(phase_latency(self.phase) - self.elapsed);
+        if remaining > budget {
+            self.elapsed += budget as u32;
+            return (budget, None);
+        }
+        (remaining, Some(self.complete()))
     }
 
     fn save_state(&self) -> CircuitState {
@@ -115,8 +141,19 @@ impl PfuCircuit for BlockCircuit {
                 detail: format!("twofish block circuit needs 12 state words, got {}", state.0.len()),
             });
         }
-        self.phase = state.0[0];
-        self.elapsed = state.0[1];
+        // Reject frames the phase machine can never hold: a phase past
+        // the protocol, or progress at or beyond the phase's latency
+        // (`elapsed` resets on the completing clock).
+        let (phase, elapsed) = (state.0[0], state.0[1]);
+        if phase > LAST_PHASE || elapsed >= phase_latency(phase) {
+            return Err(FabricError::StateMismatch {
+                detail: format!(
+                    "twofish block circuit cannot hold phase {phase} with {elapsed} clocks elapsed"
+                ),
+            });
+        }
+        self.phase = phase;
+        self.elapsed = elapsed;
         self.latched = (state.0[2], state.0[3]);
         self.w.copy_from_slice(&state.0[4..8]);
         self.ct.copy_from_slice(&state.0[8..12]);
@@ -201,5 +238,33 @@ mod tests {
         run_instr(&mut c3, 0x1111, 0x2222);
         let (expect, _) = run_instr(&mut c3, 0x3333, 0x4444);
         assert_eq!(ct0, expect);
+    }
+
+    #[test]
+    fn unreachable_state_frames_rejected() {
+        let mut c = BlockCircuit::new(&[0u8; 16]);
+        let before = c.save_state();
+        for (phase, elapsed) in [(9, 0), (LAST_PHASE + 1, 0), (u32::MAX, 0), (0, 1), (1, ENCRYPT_LATENCY)] {
+            let mut words = before.0.clone();
+            words[0] = phase;
+            words[1] = elapsed;
+            let err = c.load_state(&CircuitState(words));
+            assert!(
+                matches!(err, Err(FabricError::StateMismatch { .. })),
+                "phase {phase}, elapsed {elapsed}: {err:?}"
+            );
+            assert_eq!(c.save_state(), before, "a rejected load must not change the circuit");
+        }
+        // The last reachable phase and mid-encrypt progress still load,
+        // and clocking afterwards completes normally.
+        let mut words = before.0.clone();
+        words[0] = LAST_PHASE;
+        c.load_state(&CircuitState(words)).expect("phase 4 is reachable");
+        assert!(c.clock(0, 0, true).done);
+        let mut words = before.0;
+        words[0] = 1;
+        words[1] = ENCRYPT_LATENCY - 1;
+        c.load_state(&CircuitState(words)).expect("mid-encrypt progress is reachable");
+        assert!(c.clock(0, 0, false).done);
     }
 }

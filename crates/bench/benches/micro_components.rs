@@ -4,12 +4,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use porsche::kernel::{Kernel, KernelConfig, SpawnSpec};
-use proteus_apps::twofish::Twofish;
-use proteus_cpu::{Cpu, Memory, NullCoprocessor};
+use proteus_apps::twofish::{BlockCircuit, Twofish};
+use proteus_apps::workload::TWOFISH_KEY;
+use proteus_apps::{alpha, echo, AppKind, WorkloadConfig, WorkloadSpec};
+use proteus_cpu::{CoprocResult, Coprocessor, Cpu, Memory, NullCoprocessor, Stop};
 use proteus_fabric::place::FabricDims;
 use proteus_fabric::{compile, library, Device};
 use proteus_isa::{assemble, decode, encode, Instr};
-use proteus_rfu::{Rfu, RfuConfig};
+use proteus_rfu::{Cam, PfuCircuit, Rfu, RfuConfig, TupleKey};
 
 fn bench_isa(c: &mut Criterion) {
     let program = assemble(
@@ -63,6 +65,85 @@ fn bench_twofish(c: &mut Criterion) {
     });
 }
 
+/// A unit with `circuit` resident on PFU 0 and `(PID 1, CID 0)` mapped
+/// to it in TLB1, the PID register set: every issue is a hardware hit.
+fn rfu_with(circuit: Box<dyn PfuCircuit>) -> Rfu {
+    let mut rfu = Rfu::new(RfuConfig::default());
+    rfu.pfus_mut().load(0, circuit);
+    rfu.tlb_hw_mut().insert(0, TupleKey::new(1, 0), 0);
+    rfu.write_reg(15, 1);
+    rfu
+}
+
+/// Operations per timed iteration in the dispatch benches: the harness
+/// reads the clock after every iteration, which would swamp a
+/// nanosecond-scale operation. Reported times are per 1000 operations,
+/// so µs read as ns per operation.
+const OPS_PER_ITER: u32 = 1000;
+
+/// A workload circuit constructor.
+type MakeCircuit = fn() -> Box<dyn PfuCircuit>;
+
+fn bench_dispatch(c: &mut Criterion) {
+    // Figure 1's hardware path per workload circuit: TLB1 match, PFU
+    // `run_clocks`, completion. The budget always covers the latency,
+    // so each issue completes (Twofish walks its five-phase protocol).
+    let circuits: [(&str, MakeCircuit); 4] = [
+        ("alpha", alpha::blend_circuit),
+        ("echo_scale", echo::scale_circuit),
+        ("echo_sat_add", echo::sat_add_circuit),
+        ("twofish", || Box::new(BlockCircuit::new(&TWOFISH_KEY))),
+    ];
+    for (name, make) in circuits {
+        c.bench_function(format!("rfu/hw_dispatch/{name}"), |b| {
+            let mut rfu = rfu_with(make());
+            b.iter(|| {
+                let mut acc = 0u32;
+                for op in 0..OPS_PER_ITER {
+                    match rfu.exec_custom(1, 0, std::hint::black_box(op), 0x80C8, 5, 0x100, 1 << 16) {
+                        CoprocResult::Done { value, .. } => acc = acc.wrapping_add(value),
+                        other => panic!("expected a hardware completion, got {other:?}"),
+                    }
+                }
+                acc
+            })
+        });
+    }
+
+    // A full 16-slot TLB: the worst-case hit (last slot) and a miss.
+    let mut cam = Cam::new(16);
+    for slot in 0..16u32 {
+        cam.insert(slot as usize, TupleKey::new(slot + 1, (slot % 4) as u8), slot);
+    }
+    for (name, key, expect) in
+        [("hit_last", TupleKey::new(16, 3), Some(15)), ("miss", TupleKey::new(17, 0), None)]
+    {
+        assert_eq!(cam.lookup(key), expect);
+        c.bench_function(format!("rfu/cam_lookup_16/{name}"), |b| {
+            b.iter(|| (0..OPS_PER_ITER).filter(|_| cam.lookup(std::hint::black_box(key)).is_some()).count())
+        });
+    }
+
+    // The alpha guest's pixel loop interpreted by `Cpu::run` against a
+    // real `Rfu`: interpretation plus one hardware dispatch per pixel.
+    let spec = WorkloadSpec::build(WorkloadConfig::new(AppKind::Alpha, 256, 4));
+    let entry = spec.program().symbol("start").expect("guest programs define start");
+    c.bench_function("cpu/pfu_loop_rfu", |b| {
+        b.iter(|| {
+            let mut mem = Memory::new(64 * 1024);
+            mem.load_program(spec.program()).expect("load");
+            let mut cpu = Cpu::new();
+            cpu.set_reg(13, 64 * 1024);
+            cpu.set_pc(entry);
+            let mut rfu = rfu_with(alpha::blend_circuit());
+            let stop = cpu.run(&mut mem, &mut rfu, u64::MAX);
+            assert_eq!(stop, Stop::Swi { imm: 0 });
+            assert_eq!(cpu.reg(0), spec.expected_checksum());
+            cpu.cycles()
+        })
+    });
+}
+
 fn bench_kernel(c: &mut Criterion) {
     let program = assemble("start: ldr r1, =256\nloop: swi #1\n subs r1, r1, #1\n bne loop\n mov r0, #0\n swi #0\n")
         .expect("asm");
@@ -85,6 +166,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(900))
         .sample_size(20);
-    targets = bench_isa, bench_fabric, bench_twofish, bench_kernel
+    targets = bench_isa, bench_fabric, bench_twofish, bench_dispatch, bench_kernel
 }
 criterion_main!(benches);

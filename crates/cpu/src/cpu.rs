@@ -206,7 +206,16 @@ impl Cpu {
     /// The quantum bound is the only per-instruction check: the kernel
     /// computes the span's stop cycle once and passes it down, so the
     /// loop compares a single counter against a constant.
-    pub fn run(&mut self, mem: &mut Memory, coproc: &mut dyn Coprocessor, until_cycle: u64) -> Stop {
+    ///
+    /// Generic over the port, so a concrete coprocessor (the kernel's
+    /// `Rfu`) is called directly rather than through a vtable on every
+    /// custom issue; `&mut dyn Coprocessor` still works.
+    pub fn run<C: Coprocessor + ?Sized>(
+        &mut self,
+        mem: &mut Memory,
+        coproc: &mut C,
+        until_cycle: u64,
+    ) -> Stop {
         loop {
             if self.cycles >= until_cycle {
                 return Stop::Quantum;
@@ -235,10 +244,10 @@ impl Cpu {
     /// Force-inlined into [`Cpu::run`]: the per-instruction call and the
     /// `Option<Stop>` return shuffle are measurable at interpreter speed.
     #[inline(always)]
-    pub fn step(
+    pub fn step<C: Coprocessor + ?Sized>(
         &mut self,
         mem: &mut Memory,
-        coproc: &mut dyn Coprocessor,
+        coproc: &mut C,
         until_cycle: u64,
     ) -> Option<Stop> {
         let pc = self.regs[15];

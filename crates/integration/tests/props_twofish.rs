@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use proteus_apps::twofish::{BlockCircuit, Twofish};
+use proteus_rfu::circuit::run_clocks_per_clock;
 use proteus_rfu::PfuCircuit;
 
 proptest! {
@@ -96,6 +97,53 @@ proptest! {
             got.push(run(&mut second, a, b));
         }
         prop_assert_eq!(got, expect);
+    }
+
+    /// The O(1) `run_clocks` override is observably the per-clock
+    /// reference: for random budgets through every phase of random
+    /// blocks, each call returns the same `(used, result)` and leaves the
+    /// same state frames. The first encrypt is cut after `cut` clocks and
+    /// both circuits are swapped into fresh instances through
+    /// `save_state`/`load_state` before it resumes.
+    #[test]
+    fn block_circuit_fast_forward_matches_per_clock(
+        key in any::<[u8; 16]>(),
+        blocks in proptest::collection::vec(any::<[u32; 4]>(), 1..4),
+        budgets in proptest::collection::vec(1u64..=25, 1..40),
+        cut in 1u64..20,
+    ) {
+        let mut fast = BlockCircuit::new(&key);
+        let mut slow = BlockCircuit::new(&key);
+        let mut budgets = budgets.iter().copied().cycle();
+        let mut swapped = false;
+        for w in &blocks {
+            for (a, b) in [(w[0], w[1]), (w[2], w[3]), (0, 0), (0, 0), (0, 0)] {
+                let mut init = true;
+                loop {
+                    let budget = if swapped { budgets.next().expect("cycled budgets") } else { cut };
+                    let got = fast.run_clocks(a, b, init, budget);
+                    let expect = run_clocks_per_clock(&mut slow, a, b, init, budget);
+                    prop_assert_eq!(got, expect, "budget {}", budget);
+                    prop_assert_eq!(fast.save_state(), slow.save_state());
+                    if got.1.is_some() {
+                        break;
+                    }
+                    // Interrupted mid-encrypt: only the encrypting
+                    // invocation outlasts a budget.
+                    prop_assert_eq!(fast.save_state().0[0], 1);
+                    init = false;
+                    if !swapped {
+                        for c in [&mut fast, &mut slow] {
+                            let mut fresh = BlockCircuit::new(&key);
+                            fresh.load_state(&c.save_state()).expect("restore mid-encrypt");
+                            *c = fresh;
+                        }
+                        swapped = true;
+                    }
+                }
+            }
+        }
+        prop_assert!(swapped, "the first encrypt was not cut");
     }
 
     /// Alpha blend reference is bounded by its inputs for equal channels.

@@ -124,28 +124,7 @@ impl PfuCircuit for FixedLatency {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn default_run(
-        c: &mut dyn PfuCircuit,
-        op_a: u32,
-        op_b: u32,
-        mut init: bool,
-        budget: u64,
-    ) -> (u64, Option<u32>) {
-        // The trait-default per-cycle loop, spelled out so the test
-        // compares the override against the reference protocol even if
-        // the default itself changes.
-        let mut used = 0u64;
-        while used < budget {
-            let out = c.clock(op_a, op_b, init);
-            init = false;
-            used += 1;
-            if out.done {
-                return (used, Some(out.result));
-            }
-        }
-        (used, None)
-    }
+    use crate::circuit::run_clocks_per_clock;
 
     #[test]
     fn run_clocks_fast_forward_matches_per_cycle_clocking() {
@@ -155,7 +134,7 @@ mod tests {
             let mut init = true;
             for budget in [1u64, 3, 2, 10, 1, 4, 2, 9] {
                 let f = fast.run_clocks(9, 5, init, budget);
-                let s = default_run(&mut slow, 9, 5, init, budget);
+                let s = run_clocks_per_clock(&mut slow, 9, 5, init, budget);
                 assert_eq!(f, s, "latency={latency} budget={budget}");
                 init = f.1.is_some();
             }

@@ -20,15 +20,26 @@ impl TupleKey {
     pub fn new(pid: u32, cid: u8) -> Self {
         Self { pid, cid }
     }
+
+    /// The packed CAM word: `pid << 8 | cid`. Distinct keys pack to
+    /// distinct words, all below [`EMPTY`].
+    fn packed(self) -> u64 {
+        (u64::from(self.pid) << 8) | u64::from(self.cid)
+    }
+
+    fn unpack(word: u64) -> Self {
+        Self { pid: (word >> 8) as u32, cid: word as u8 }
+    }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
-    key: TupleKey,
-    value: u32,
-}
+/// The key word of an empty slot. The largest packed key is
+/// `u32::MAX << 8 | 255`, so no lookup can match it.
+const EMPTY: u64 = u64::MAX;
 
 /// A fixed-capacity CAM + RAM pair.
+///
+/// The match lines are a packed array of key words beside the RAM
+/// words, so a lookup scans one dense `u64` slice.
 ///
 /// # Example
 ///
@@ -43,7 +54,10 @@ struct Entry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cam {
-    slots: Vec<Option<Entry>>,
+    /// Packed key per slot ([`EMPTY`] when free).
+    keys: Vec<u64>,
+    /// RAM word per slot (meaningful only where the key is occupied).
+    values: Vec<u32>,
 }
 
 impl Cam {
@@ -54,17 +68,17 @@ impl Cam {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "CAM needs at least one slot");
-        Self { slots: vec![None; capacity] }
+        Self { keys: vec![EMPTY; capacity], values: vec![0; capacity] }
     }
 
     /// Number of slots.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.keys.len()
     }
 
     /// Occupied slots.
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.keys.iter().filter(|&&k| k != EMPTY).count()
     }
 
     /// True if no slot is occupied.
@@ -74,12 +88,13 @@ impl Cam {
 
     /// Associative lookup (the hardware fast path).
     pub fn lookup(&self, key: TupleKey) -> Option<u32> {
-        self.slots.iter().flatten().find(|e| e.key == key).map(|e| e.value)
+        let word = key.packed();
+        self.keys.iter().position(|&k| k == word).map(|slot| self.values[slot])
     }
 
     /// First free slot, if any.
     pub fn free_slot(&self) -> Option<usize> {
-        self.slots.iter().position(Option::is_none)
+        self.keys.iter().position(|&k| k == EMPTY)
     }
 
     /// Program `slot` with a mapping (OS operation). Replaces whatever
@@ -90,45 +105,37 @@ impl Cam {
     ///
     /// Panics if `slot` is out of range.
     pub fn insert(&mut self, slot: usize, key: TupleKey, value: u32) {
-        for s in self.slots.iter_mut() {
-            if s.is_some_and(|e| e.key == key) {
-                *s = None;
-            }
-        }
-        self.slots[slot] = Some(Entry { key, value });
+        self.invalidate(key);
+        self.keys[slot] = key.packed();
+        self.values[slot] = value;
     }
 
     /// Invalidate the entry for `key`, returning its value if present.
     pub fn invalidate(&mut self, key: TupleKey) -> Option<u32> {
-        for s in self.slots.iter_mut() {
-            if s.is_some_and(|e| e.key == key) {
-                return s.take().map(|e| e.value);
-            }
-        }
-        None
+        let word = key.packed();
+        let slot = self.keys.iter().position(|&k| k == word)?;
+        self.keys[slot] = EMPTY;
+        Some(self.values[slot])
     }
 
     /// Invalidate every entry whose value matches `value` (e.g. all
     /// tuples pointing at a PFU being unloaded). Returns how many were
     /// dropped.
     pub fn invalidate_value(&mut self, value: u32) -> usize {
-        let mut n = 0;
-        for s in self.slots.iter_mut() {
-            if s.is_some_and(|e| e.value == value) {
-                *s = None;
-                n += 1;
-            }
-        }
-        n
+        self.invalidate_where(|_, v| v == value)
     }
 
     /// Invalidate every entry belonging to `pid` (process exit). Returns
     /// how many were dropped.
     pub fn invalidate_pid(&mut self, pid: u32) -> usize {
+        self.invalidate_where(|key, _| key.pid == pid)
+    }
+
+    fn invalidate_where(&mut self, hit: impl Fn(TupleKey, u32) -> bool) -> usize {
         let mut n = 0;
-        for s in self.slots.iter_mut() {
-            if s.is_some_and(|e| e.key.pid == pid) {
-                *s = None;
+        for (k, &v) in self.keys.iter_mut().zip(&self.values) {
+            if *k != EMPTY && hit(TupleKey::unpack(*k), v) {
+                *k = EMPTY;
                 n += 1;
             }
         }
@@ -137,10 +144,12 @@ impl Cam {
 
     /// Iterate over occupied entries as `(slot, key, value)`.
     pub fn entries(&self) -> impl Iterator<Item = (usize, TupleKey, u32)> + '_ {
-        self.slots
+        self.keys
             .iter()
+            .zip(&self.values)
             .enumerate()
-            .filter_map(|(i, s)| s.map(|e| (i, e.key, e.value)))
+            .filter(|(_, (&k, _))| k != EMPTY)
+            .map(|(i, (&k, &v))| (i, TupleKey::unpack(k), v))
     }
 }
 

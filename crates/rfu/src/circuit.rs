@@ -49,22 +49,14 @@ pub trait PfuCircuit: fmt::Debug {
     /// [`crate::PfuArray::run`] drives. Returns the clocks consumed and
     /// `Some(result)` if `done` rose on the final one.
     ///
-    /// The default iterates [`PfuCircuit::clock`]; models whose timing
-    /// is analytically known (the behavioral latency counters) override
-    /// it with an O(1) fast-forward. Overrides must be observably
-    /// identical to the default, including all state mutations.
+    /// The default is [`run_clocks_per_clock`], which iterates
+    /// [`PfuCircuit::clock`]; models whose timing is analytically known
+    /// (the behavioral latency counters, the Twofish block circuit)
+    /// override it with an O(1) fast-forward. Overrides must be
+    /// observably identical to the default, including all state
+    /// mutations.
     fn run_clocks(&mut self, op_a: u32, op_b: u32, init: bool, budget: u64) -> (u64, Option<u32>) {
-        let mut used = 0u64;
-        let mut init = init;
-        while used < budget {
-            let out = self.clock(op_a, op_b, init);
-            init = false;
-            used += 1;
-            if out.done {
-                return (used, Some(out.result));
-            }
-        }
-        (used, None)
+        run_clocks_per_clock(self, op_a, op_b, init, budget)
     }
 
     /// Size of the static configuration in bytes (54 000 for a full
@@ -77,6 +69,32 @@ pub trait PfuCircuit: fmt::Debug {
     fn state_words(&self) -> usize {
         self.save_state().0.len().max(1)
     }
+}
+
+/// The per-clock reference for [`PfuCircuit::run_clocks`]: clock `circuit`
+/// up to `budget` times, presenting `init` on the first clock only, and
+/// stop on the clock that raises `done`. Returns the clocks consumed and
+/// `Some(result)` if the instruction completed.
+///
+/// This is the trait's default and the referee every O(1) override is
+/// tested against.
+pub fn run_clocks_per_clock<C: PfuCircuit + ?Sized>(
+    circuit: &mut C,
+    op_a: u32,
+    op_b: u32,
+    mut init: bool,
+    budget: u64,
+) -> (u64, Option<u32>) {
+    let mut used = 0u64;
+    while used < budget {
+        let out = circuit.clock(op_a, op_b, init);
+        init = false;
+        used += 1;
+        if out.done {
+            return (used, Some(out.result));
+        }
+    }
+    (used, None)
 }
 
 /// A [`PfuCircuit`] backed by a real gate-level bitstream executing on a

@@ -25,12 +25,14 @@ cargo run --release -p proteus-bench --bin repro -- \
 diff "$serial_dir/fig2.csv" "$parallel_dir/fig2.csv"
 diff "$serial_dir/breakdown_fig2.csv" "$parallel_dir/breakdown_fig2.csv"
 # A change that shifts every row alike passes the job-count diff, so the
-# quick-scale cycle breakdown is also pinned by a committed golden.
+# quick-scale figure and its cycle breakdown are also pinned by committed
+# goldens.
+diff scripts/golden/fig2_quick.csv "$serial_dir/fig2.csv"
 diff scripts/golden/breakdown_fig2_quick.csv "$serial_dir/breakdown_fig2.csv"
 for f in "$serial_dir/summary.json" "$parallel_dir/summary.json"; do
     test -s "$f" || { echo "missing $f" >&2; exit 1; }
 done
-echo "CSVs byte-identical across job counts and the breakdown golden; summary.json emitted"
+echo "CSVs byte-identical across job counts and the fig2 and breakdown goldens; summary.json emitted"
 
 echo "== fault-campaign smoke (quick scale, --jobs 1 vs --jobs 2, golden diff) =="
 cargo run --release -p proteus-bench --bin repro -- \
