@@ -9,15 +9,17 @@
 //! operating system sees a custom instruction fault it must first check
 //! if it is just a mapping fault before attempting to load the hardware."
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-use proteus_rfu::{FaultInfo, PfuIndex, Rfu, TupleKey};
+use proteus_rfu::{Cam, FaultInfo, PfuIndex, Rfu, TupleKey};
 
 use crate::costs::CostModel;
 use crate::fault::{FaultUnit, RecoveryPolicy};
+use crate::kernel::KernelConfig;
 use crate::policy::{PolicyView, ReplacementPolicy};
 use crate::probe::{Callsite, Event, PfuFaultKind, Probe, Tag};
-use crate::process::{Pid, Process};
+use crate::process::{CircuitSpec, Pid, Registered};
 
 /// How the CIS resolves contention (the paper's two experiments).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,13 +55,30 @@ pub enum FaultResolution {
     },
 }
 
-/// CIS bookkeeping: who owns each PFU, load/use recency, TLB cursor.
+impl FaultResolution {
+    /// The same verdict with `more` cycles of earlier handler work
+    /// charged on top.
+    fn plus(self, more: u64) -> Self {
+        match self {
+            FaultResolution::Reissue { cycles } => FaultResolution::Reissue { cycles: cycles + more },
+            FaultResolution::Kill { cycles } => FaultResolution::Kill { cycles: cycles + more },
+        }
+    }
+}
+
+/// All circuit-management state: the registration records, who owns
+/// each PFU (the only residency table — a slot's configuration image is
+/// its owner's), load/use recency, the TLB cursor, and the policies the
+/// kernel was configured with.
 #[derive(Debug)]
 pub struct Cis {
     mode: DispatchMode,
     share_circuits: bool,
+    policy: Box<dyn ReplacementPolicy>,
+    recovery: RecoveryPolicy,
+    costs: CostModel,
+    registry: BTreeMap<TupleKey, Registered>,
     pfu_owner: Vec<Option<TupleKey>>,
-    pfu_image: Vec<Option<u64>>,
     load_seq: Vec<u64>,
     last_use_seq: Vec<u64>,
     seq: u64,
@@ -67,36 +86,73 @@ pub struct Cis {
 }
 
 impl Cis {
-    /// CIS for an RFU with `pfus` units.
-    pub fn new(pfus: usize, mode: DispatchMode) -> Self {
-        Self::with_sharing(pfus, mode, false)
-    }
-
-    /// CIS with circuit sharing (§4.2) enabled or disabled. The paper's
-    /// experiments disable sharing to study overload; "in the final
-    /// system applications using the same circuits would attempt to
-    /// share instances, just changing the state in a single PFU".
-    pub fn with_sharing(pfus: usize, mode: DispatchMode, share_circuits: bool) -> Self {
+    /// A CIS with `config`'s replacement policy, recovery ladder, cost
+    /// model, dispatch mode and §4.2 sharing switch, and no
+    /// registrations. Its per-PFU tables are sized by [`Cis::fit`].
+    pub fn new(config: &KernelConfig) -> Self {
         Self {
-            mode,
-            share_circuits,
-            pfu_owner: vec![None; pfus],
-            pfu_image: vec![None; pfus],
-            load_seq: vec![0; pfus],
-            last_use_seq: vec![0; pfus],
+            mode: config.mode,
+            share_circuits: config.share_circuits,
+            policy: config.policy.build(),
+            recovery: config.recovery,
+            costs: config.costs,
+            registry: BTreeMap::new(),
+            pfu_owner: Vec::new(),
+            load_seq: Vec::new(),
+            last_use_seq: Vec::new(),
             seq: 1,
             tlb_hand: 0,
         }
     }
 
-    /// The contention-resolution mode.
-    pub fn mode(&self) -> DispatchMode {
-        self.mode
+    /// Size the per-PFU tables for `rfu`'s array (a no-op once sized).
+    pub fn fit(&mut self, rfu: &Rfu) {
+        let pfus = rfu.pfus().len();
+        self.pfu_owner.resize(pfus, None);
+        self.load_seq.resize(pfus, 0);
+        self.last_use_seq.resize(pfus, 0);
     }
 
-    /// Which tuple owns each PFU.
-    pub fn pfu_owners(&self) -> &[Option<TupleKey>] {
-        &self.pfu_owner
+    /// Register `spec` as the custom instruction `key`. Returns `false`,
+    /// registering nothing, if `key` is already registered.
+    pub fn register(&mut self, key: TupleKey, spec: CircuitSpec) -> bool {
+        match self.registry.entry(key) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(Registered::new(spec.circuit, spec.software_alt, spec.image));
+                true
+            }
+        }
+    }
+
+    /// The registration record of `key`, if registered.
+    pub fn registration(&self, key: TupleKey) -> Option<&Registered> {
+        self.registry.get(&key)
+    }
+
+    /// The PFU hosting `key`'s circuit, if resident.
+    fn resident(&self, key: TupleKey) -> Option<PfuIndex> {
+        self.pfu_owner.iter().position(|&owner| owner == Some(key))
+    }
+
+    /// The first PFU whose owner's configuration image is `image`.
+    fn hosting(&self, image: u64) -> Option<PfuIndex> {
+        self.pfu_owner.iter().position(|owner| {
+            owner.and_then(|k| self.registry.get(&k)).and_then(|r| r.image) == Some(image)
+        })
+    }
+
+    /// Whether `pfu` holds corrupt frames that a reload may still repair:
+    /// repairs by the scrubber and by the ladder's rung 0 share the
+    /// slot's reconfiguration allowance (`retries`, reset on every
+    /// completion). Under upsets denser than the reload time an
+    /// unconditional repair would loop forever — the scrubber
+    /// re-repairing at every scheduling boundary, rung 0 without ever
+    /// recording a strike — so beyond the allowance the corruption stays
+    /// for the ladder to escalate on.
+    fn repairable(&self, rfu: &Rfu, pfu: PfuIndex) -> bool {
+        let health = rfu.pfus().health(pfu);
+        health.config_corrupt && health.retries <= self.recovery.max_retries
     }
 
     /// Pull fresh completion counts out of the hardware and update the
@@ -115,59 +171,51 @@ impl Cis {
         counts
     }
 
-    /// Program a TLB entry, evicting (round-robin over slots) if full.
-    /// Emits the [`Event::TlbProgram`] — attributed to `tag`'s callsite,
-    /// since TLB programming happens on behalf of whichever path asked
-    /// for it — and returns its cycle cost so the caller's charge and
-    /// the event stay structurally paired.
-    #[allow(clippy::too_many_arguments)]
-    fn tlb_insert(
-        cam_hand: &mut usize,
-        cam: &mut proteus_rfu::Cam,
-        key: TupleKey,
-        value: u32,
-        soft: bool,
-        costs: &CostModel,
-        probe: &mut Probe,
-        at: u64,
-        tag: Tag,
-    ) -> u64 {
+    /// Program `key → value` into `cam`, evicting round-robin over its
+    /// slots when it is full. Returns whether an entry was evicted.
+    fn program_tlb(&mut self, cam: &mut Cam, key: TupleKey, value: u32) -> bool {
         let (slot, evicted) = match cam.free_slot() {
             Some(s) => (s, false),
             None => {
-                let s = *cam_hand % cam.capacity();
-                *cam_hand = (s + 1) % cam.capacity();
+                let s = self.tlb_hand % cam.capacity();
+                self.tlb_hand = (s + 1) % cam.capacity();
                 (s, true)
             }
         };
         cam.insert(slot, key, value);
-        let cost = costs.tlb_program;
-        probe.emit(at, tag, Event::TlbProgram { key, soft, evicted, cost });
-        cost
+        evicted
     }
 
-    /// Unload the circuit in `pfu`, saving its state frames (and, under
-    /// the A4 ablation, the full configuration) back to the owner's
-    /// registration record. Returns the cycle cost. `tag` attributes the
-    /// work to whoever forced the unload (the placement requester or the
-    /// recovery ladder), not the evicted owner.
+    /// Program a TLB1 (`soft = false`) or TLB2 entry and emit the
+    /// [`Event::TlbProgram`] — attributed to `tag`'s callsite, since TLB
+    /// programming happens on behalf of whichever path asked for it —
+    /// returning its cycle cost so the caller's charge and the event
+    /// stay structurally paired.
     #[allow(clippy::too_many_arguments)]
-    fn unload(
+    fn tlb_insert(
         &mut self,
-        pfu: PfuIndex,
         rfu: &mut Rfu,
-        procs: &mut BTreeMap<Pid, Process>,
-        costs: &CostModel,
+        key: TupleKey,
+        value: u32,
+        soft: bool,
         probe: &mut Probe,
         at: u64,
         tag: Tag,
     ) -> u64 {
-        let Some(owner) = self.pfu_owner[pfu].take() else {
-            return 0;
-        };
-        self.pfu_image[pfu] = None;
-        let dropped = rfu.tlb_hw_mut().invalidate_value(pfu as u32);
-        debug_assert!(dropped <= rfu.tlb_hw().capacity());
+        let cam = if soft { rfu.tlb_sw_mut() } else { rfu.tlb_hw_mut() };
+        let evicted = self.program_tlb(cam, key, value);
+        let cost = self.costs.tlb_program;
+        probe.emit(at, tag, Event::TlbProgram { key, soft, evicted, cost });
+        cost
+    }
+
+    /// Take `pfu`'s circuit off the array and home to its owner's
+    /// registration record together with its status bit, dropping the
+    /// slot's TLB1 mappings. Emits nothing. Returns the former owner, or
+    /// `None` if the slot was free.
+    fn detach(&mut self, pfu: PfuIndex, rfu: &mut Rfu) -> Option<TupleKey> {
+        let owner = self.pfu_owner[pfu].take()?;
+        rfu.tlb_hw_mut().invalidate_value(pfu as u32);
         // A faulty slot's status bit is untrustworthy: burned issues
         // drive it low without ever latching operands into the circuit,
         // so saving the 0 would make the next home "resume" an
@@ -175,25 +223,54 @@ impl Cis {
         // 1 restarts it instead, which is always sound: circuit state
         // only mutates on completion (DESIGN.md §9).
         let faulty = rfu.pfus().health(pfu).is_faulty();
-        let Some((circuit, status)) = rfu.pfus_mut().unload(pfu) else {
+        let (circuit, status) = rfu.pfus_mut().unload(pfu)?;
+        if let Some(reg) = self.registry.get_mut(&owner) {
+            reg.instance = Some(circuit);
+            reg.status = status || faulty;
+        }
+        Some(owner)
+    }
+
+    /// Install `key`'s home instance in the empty slot `pfu`, restoring
+    /// the status bit it was saved with, and record the ownership and
+    /// use. Returns the registration, or `None` if the instance was not
+    /// home (a registry bug).
+    fn attach(&mut self, key: TupleKey, pfu: PfuIndex, rfu: &mut Rfu) -> Option<&Registered> {
+        let Some(circuit) = self.registry.get_mut(&key).and_then(|r| r.instance.take()) else {
+            debug_assert!(false, "attaching a tuple without a home instance");
+            return None;
+        };
+        let evicted = rfu.pfus_mut().load(pfu, circuit);
+        debug_assert!(evicted.is_none(), "attach target was freed");
+        self.pfu_owner[pfu] = Some(key);
+        self.seq += 1;
+        self.last_use_seq[pfu] = self.seq;
+        let reg = self.registry.get(&key)?;
+        rfu.pfus_mut().set_status(pfu, reg.status);
+        Some(reg)
+    }
+
+    /// Unload the circuit in `pfu`, saving its state frames (and, under
+    /// the A4 ablation, the full configuration) back to the owner's
+    /// registration record. Returns the cycle cost. `tag` attributes the
+    /// work to whoever forced the unload (the placement requester or the
+    /// recovery ladder), not the evicted owner.
+    fn unload(&mut self, pfu: PfuIndex, rfu: &mut Rfu, probe: &mut Probe, at: u64, tag: Tag) -> u64 {
+        let Some(owner) = self.detach(pfu, rfu) else {
             return 0;
         };
-        let status = status || faulty;
         probe.emit(at, tag, Event::Eviction { key: owner, pfu });
-        let mut cycles = 0u64;
-        if let Some(reg) = procs.get_mut(&owner.pid).and_then(|p| p.circuits.get_mut(&owner.cid)) {
-            cycles = costs.unload_cycles(reg.static_bytes, reg.state_words);
-            let words = reg.state_words as u64
-                + if costs.save_full_config_on_unload {
-                    (reg.static_bytes as u64).div_ceil(4)
-                } else {
-                    0
-                };
-            probe.emit(at, tag, Event::BusTransfer { words, cost: cycles });
-            reg.instance = Some(circuit);
-            reg.status = status;
-            reg.loaded_at = None;
-        }
+        let Some(reg) = self.registry.get(&owner) else {
+            return 0;
+        };
+        let cycles = self.costs.unload_cycles(reg.static_bytes, reg.state_words);
+        let words = reg.state_words as u64
+            + if self.costs.save_full_config_on_unload {
+                (reg.static_bytes as u64).div_ceil(4)
+            } else {
+                0
+            };
+        probe.emit(at, tag, Event::BusTransfer { words, cost: cycles });
         cycles
     }
 
@@ -204,20 +281,15 @@ impl Cis {
     /// kernel charges the returned `cycles` afterwards). The event
     /// costs along any path sum exactly to the returned charge — the
     /// conservation law the ledger is built on.
-    #[allow(clippy::too_many_arguments)]
     pub fn handle_fault(
         &mut self,
         key: TupleKey,
         rfu: &mut Rfu,
-        procs: &mut BTreeMap<Pid, Process>,
-        policy: &mut dyn ReplacementPolicy,
-        recovery: &RecoveryPolicy,
         faults: Option<&mut FaultUnit>,
-        costs: &CostModel,
         probe: &mut Probe,
         at: u64,
     ) -> FaultResolution {
-        let mut cycles = costs.fault_entry;
+        let cycles = self.costs.fault_entry;
         let miss = Tag::new(key.pid, Callsite::TlbMiss);
         probe.emit(at, miss, Event::Fault { key, cost: cycles });
 
@@ -225,154 +297,115 @@ impl Cis {
             // Runaway circuits are fatal (the OS's timeliness
             // guarantee, §2).
             Some(FaultInfo::Runaway { .. }) => return FaultResolution::Kill { cycles },
-            // The per-PFU watchdog tripped: enter the recovery ladder
-            // (DESIGN.md §9) instead of the placement path.
+            // The per-PFU watchdog tripped: diagnose, then enter the
+            // recovery ladder (DESIGN.md §9) instead of the placement
+            // path. Diagnosis reads the slot's frames back; the burned
+            // clocks are real time the faulting issue consumed that
+            // never came back through the coprocessor port, so they are
+            // charged (and attributed to detection) here.
             Some(FaultInfo::Watchdog { pfu, burned, .. }) => {
-                return self.recover_pfu_fault(
-                    key, pfu, burned, rfu, procs, policy, recovery, faults, costs, probe, at,
-                    cycles,
-                );
+                let kind = if rfu.pfus().health(pfu).config_corrupt {
+                    PfuFaultKind::CrcMismatch
+                } else {
+                    PfuFaultKind::Watchdog
+                };
+                let detect = burned + self.costs.crc_check;
+                let rungs = Tag::new(key.pid, Callsite::FaultRungs);
+                probe.emit(at, rungs, Event::PfuFault { key, pfu, kind, cost: detect });
+                return self.recover_pfu_fault(key, pfu, rfu, faults, probe, at).plus(cycles + detect);
             }
             _ => {}
         }
 
-        let Some(proc) = procs.get_mut(&key.pid) else {
+        // "terminate the process if the mapping request was illegal".
+        let Some(reg) = self.registry.get(&key) else {
             return FaultResolution::Kill { cycles };
         };
-        let Some(reg) = proc.circuits.get_mut(&key.cid) else {
-            // "terminate the process if the mapping request was illegal".
-            return FaultResolution::Kill { cycles };
-        };
+        let (soft_active, software_alt, image) = (reg.soft_active, reg.software_alt, reg.image);
 
         // §4.2: check for a plain mapping fault first — the circuit is
         // resident but its TLB entry was pushed out.
-        if let Some(pfu) = reg.loaded_at {
+        if let Some(pfu) = self.resident(key) {
             probe.emit(at, miss, Event::MappingRepair { key });
-            cycles += Self::tlb_insert(
-                &mut self.tlb_hand, rfu.tlb_hw_mut(), key, pfu as u32, false, costs, probe, at,
-                miss,
-            );
-            return FaultResolution::Reissue { cycles };
+            let cost = self.tlb_insert(rfu, key, pfu as u32, false, probe, at, miss);
+            return FaultResolution::Reissue { cycles: cycles + cost };
         }
 
         // A tuple already dispatched to software stays on the software
         // path (its instruction may hold mid-protocol shadow state in
         // process memory); this fault just means the TLB2 entry was
         // pushed out.
-        if reg.soft_active {
+        if soft_active {
             // soft_active is only ever set alongside a registered
             // alternative; a missing one is an illegal mapping request.
-            debug_assert!(reg.software_alt.is_some(), "soft_active without an alternative");
-            let Some(addr) = reg.software_alt else {
+            debug_assert!(software_alt.is_some(), "soft_active without an alternative");
+            let Some(addr) = software_alt else {
                 return FaultResolution::Kill { cycles };
             };
             probe.emit(at, miss, Event::MappingRepair { key });
-            cycles += Self::tlb_insert(
-                &mut self.tlb_hand, rfu.tlb_sw_mut(), key, addr, true, costs, probe, at, miss,
-            );
-            return FaultResolution::Reissue { cycles };
+            let cost = self.tlb_insert(rfu, key, addr, true, probe, at, miss);
+            return FaultResolution::Reissue { cycles: cycles + cost };
         }
 
-        let state_words = reg.state_words;
-        let image = reg.image;
-
         // Sharing fast path (§4.2): another process's instance of the
-        // same configuration image is resident — hand the PFU over by
-        // swapping state frames only, no reconfiguration. (Allocatable
-        // = free and not quarantined; identical to the free list when
-        // no fault plan is active.)
+        // same configuration image is resident. (Allocatable = free and
+        // not quarantined; identical to the free list when no fault plan
+        // is active.)
         if self.share_circuits && rfu.pfus().available_pfus().is_empty() {
-            if let Some(pfu) = image.and_then(|img| {
-                (0..self.pfu_image.len()).find(|&p| self.pfu_image[p] == Some(img))
-            }) {
-                // Return the resident instance (with its state) to its
-                // owner's registry...
-                let prev_owner = self.pfu_owner[pfu].take();
-                rfu.tlb_hw_mut().invalidate_value(pfu as u32);
-                // Same status-bit trust rule as `unload`: a faulty
-                // slot's low bit is a burn artefact, not real progress.
-                let faulty = rfu.pfus().health(pfu).is_faulty();
-                if let Some((circuit, status)) = rfu.pfus_mut().unload(pfu) {
-                    if let Some(prev) = prev_owner {
-                        if let Some(prev_reg) =
-                            procs.get_mut(&prev.pid).and_then(|p| p.circuits.get_mut(&prev.cid))
-                        {
-                            prev_reg.instance = Some(circuit);
-                            prev_reg.status = status || faulty;
-                            prev_reg.loaded_at = None;
-                        }
-                    }
-                }
-                // ...and install the faulting process's instance: the
-                // static configuration is identical, so only the state
-                // frames move over the bus. Both lookups succeeded at
-                // handler entry; a miss here would be a registry bug.
-                let Some(reg) =
-                    procs.get_mut(&key.pid).and_then(|p| p.circuits.get_mut(&key.cid))
-                else {
-                    debug_assert!(false, "registration vanished mid-handler");
-                    return FaultResolution::Kill { cycles };
-                };
-                let Some(circuit) = reg.instance.take() else {
-                    debug_assert!(false, "unloaded tuple without a home instance");
-                    return FaultResolution::Kill { cycles };
-                };
-                rfu.pfus_mut().load(pfu, circuit);
-                rfu.pfus_mut().set_status(pfu, reg.status);
-                reg.loaded_at = Some(pfu);
-                self.seq += 1;
-                self.last_use_seq[pfu] = self.seq;
-                self.pfu_owner[pfu] = Some(key);
-                self.pfu_image[pfu] = image;
-                let reconf = Tag::new(key.pid, Callsite::Reconfiguration);
-                probe.emit(at, reconf, Event::StateSwap { key, pfu });
-                let swap_cost = costs.state_swap_cycles(state_words);
-                probe.emit(
-                    at,
-                    reconf,
-                    Event::BusTransfer { words: 2 * state_words as u64, cost: swap_cost },
-                );
-                cycles += swap_cost;
-                cycles += Self::tlb_insert(
-                    &mut self.tlb_hand, rfu.tlb_hw_mut(), key, pfu as u32, false, costs, probe, at,
-                    reconf,
-                );
-                return FaultResolution::Reissue { cycles };
+            if let Some(pfu) = image.and_then(|img| self.hosting(img)) {
+                return self.hand_over(key, pfu, rfu, probe, at).plus(cycles);
             }
         }
 
-        self.place_and_load(key, rfu, procs, policy, recovery, faults, costs, probe, at, cycles)
+        self.place_and_load(key, rfu, faults, probe, at).plus(cycles)
+    }
+
+    /// Hand `pfu`, which hosts another process's instance of `key`'s
+    /// configuration image, over to `key`: the resident instance goes
+    /// home with its state and `key`'s moves in. The static frames are
+    /// identical, so only the state frames cross the bus — and the
+    /// static frames stay exactly as they were, corruption included.
+    fn hand_over(
+        &mut self,
+        key: TupleKey,
+        pfu: PfuIndex,
+        rfu: &mut Rfu,
+        probe: &mut Probe,
+        at: u64,
+    ) -> FaultResolution {
+        let corrupt = rfu.pfus().health(pfu).config_corrupt;
+        self.detach(pfu, rfu);
+        let Some(state_words) = self.attach(key, pfu, rfu).map(|r| r.state_words) else {
+            return FaultResolution::Kill { cycles: 0 };
+        };
+        rfu.pfus_mut().health_mut(pfu).config_corrupt = corrupt;
+        let reconf = Tag::new(key.pid, Callsite::Reconfiguration);
+        probe.emit(at, reconf, Event::StateSwap { key, pfu });
+        let swap_cost = self.costs.state_swap_cycles(state_words);
+        probe.emit(at, reconf, Event::BusTransfer { words: 2 * state_words as u64, cost: swap_cost });
+        let cycles = swap_cost + self.tlb_insert(rfu, key, pfu as u32, false, probe, at, reconf);
+        FaultResolution::Reissue { cycles }
     }
 
     /// Find a home for `key`'s circuit — an allocatable PFU, the
     /// software alternative, or a victim's slot — and drive the full
     /// configuration across the bus, verifying the transfer when the
-    /// fault plan models transit corruption. `cycles` carries the
-    /// caller's charge so far; the returned resolution folds in every
-    /// cost emitted here.
-    #[allow(clippy::too_many_arguments)]
+    /// fault plan models transit corruption. The returned resolution
+    /// charges every cost emitted here.
     fn place_and_load(
         &mut self,
         key: TupleKey,
         rfu: &mut Rfu,
-        procs: &mut BTreeMap<Pid, Process>,
-        policy: &mut dyn ReplacementPolicy,
-        recovery: &RecoveryPolicy,
         faults: Option<&mut FaultUnit>,
-        costs: &CostModel,
         probe: &mut Probe,
         at: u64,
-        mut cycles: u64,
     ) -> FaultResolution {
-        let Some(reg) = procs.get(&key.pid).and_then(|p| p.circuits.get(&key.cid)) else {
+        let Some(software_alt) = self.registry.get(&key).map(|r| r.software_alt) else {
             debug_assert!(false, "placement for an unregistered tuple");
-            return FaultResolution::Kill { cycles };
+            return FaultResolution::Kill { cycles: 0 };
         };
-        let software_alt = reg.software_alt;
-        let static_bytes = reg.static_bytes;
-        let state_words = reg.state_words;
-        let image = reg.image;
         let reconf = Tag::new(key.pid, Callsite::Reconfiguration);
+        let mut cycles = 0;
 
         // Find a home: an allocatable PFU, the software alternative, or
         // a victim.
@@ -386,13 +419,8 @@ impl Cis {
                     if let Some(addr) = software_alt {
                         let sw = Tag::new(key.pid, Callsite::SwDispatch);
                         probe.emit(at, sw, Event::SoftwareInstall { key });
-                        cycles += Self::tlb_insert(
-                            &mut self.tlb_hand, rfu.tlb_sw_mut(), key, addr, true, costs, probe,
-                            at, sw,
-                        );
-                        if let Some(reg) =
-                            procs.get_mut(&key.pid).and_then(|p| p.circuits.get_mut(&key.cid))
-                        {
+                        cycles += self.tlb_insert(rfu, key, addr, true, probe, at, sw);
+                        if let Some(reg) = self.registry.get_mut(&key) {
                             reg.soft_active = true;
                         }
                         return FaultResolution::Reissue { cycles };
@@ -402,7 +430,7 @@ impl Cis {
                     return FaultResolution::Kill { cycles };
                 }
                 let counts = self.refresh_usage(rfu);
-                let victim = policy.select_victim(&PolicyView {
+                let victim = self.policy.select_victim(&PolicyView {
                     occupied: &self.pfu_owner,
                     completions: &counts,
                     last_use_seq: &self.last_use_seq,
@@ -410,27 +438,21 @@ impl Cis {
                     current_pid: key.pid,
                 });
                 assert!(victim < self.pfu_owner.len(), "policy returned bad PFU {victim}");
-                cycles += self.unload(victim, rfu, procs, costs, probe, at, reconf);
+                cycles += self.unload(victim, rfu, probe, at, reconf);
                 victim
             }
         };
 
         // Full configuration load: static frames + state frames (§4.1).
-        let Some(reg) = procs.get_mut(&key.pid).and_then(|p| p.circuits.get_mut(&key.cid)) else {
-            debug_assert!(false, "registration vanished mid-handler");
+        let Some((static_bytes, state_words)) =
+            self.attach(key, target, rfu).map(|r| (r.static_bytes, r.state_words))
+        else {
             return FaultResolution::Kill { cycles };
         };
-        let Some(circuit) = reg.instance.take() else {
-            debug_assert!(false, "unloaded tuple without a home instance");
-            return FaultResolution::Kill { cycles };
-        };
-        let evicted = rfu.pfus_mut().load(target, circuit);
-        debug_assert!(evicted.is_none(), "target PFU was freed");
-        rfu.pfus_mut().set_status(target, reg.status);
-        reg.loaded_at = Some(target);
+        self.load_seq[target] = self.seq;
         probe.emit(at, reconf, Event::ConfigLoad { key, pfu: target });
         let full_words = (static_bytes as u64).div_ceil(4) + state_words as u64;
-        let load_cost = costs.full_load_cycles(static_bytes, state_words);
+        let load_cost = self.costs.full_load_cycles(static_bytes, state_words);
         probe.emit(at, reconf, Event::BusTransfer { words: full_words, cost: load_cost });
         cycles += load_cost;
 
@@ -439,229 +461,194 @@ impl Cis {
         // (bounded) until it verifies. A transfer still corrupt after
         // the retry budget stays in place flagged corrupt — the
         // watchdog path repairs it on first use.
-        if let Some(fu) = faults {
-            if fu.transit_active() {
-                let rungs = Tag::new(key.pid, Callsite::FaultRungs);
-                let mut corrupt = fu.transit_corrupts();
+        if let Some(fu) = faults.filter(|fu| fu.transit_active()) {
+            let rungs = Tag::new(key.pid, Callsite::FaultRungs);
+            let crc = self.costs.crc_check;
+            let mut corrupt = fu.transit_corrupts();
+            probe.emit(at, rungs, Event::ScrubCheck { pfu: target, corrupt, cost: crc });
+            cycles += crc;
+            let mut attempt = 0u32;
+            while corrupt && attempt < self.recovery.max_retries {
+                attempt += 1;
+                let cost = self.costs.retry_load_cycles(static_bytes, state_words, attempt);
                 probe.emit(
                     at,
                     rungs,
-                    Event::ScrubCheck { pfu: target, corrupt, cost: costs.crc_check },
+                    Event::RecoveryRetry { key, pfu: target, attempt, words: full_words, cost },
                 );
-                cycles += costs.crc_check;
-                let mut attempt = 0u32;
-                while corrupt && attempt < recovery.max_retries {
-                    attempt += 1;
-                    let cost = costs.retry_load_cycles(static_bytes, state_words, attempt);
-                    probe.emit(
-                        at,
-                        rungs,
-                        Event::RecoveryRetry { key, pfu: target, attempt, words: full_words, cost },
-                    );
-                    cycles += cost;
-                    corrupt = fu.transit_corrupts();
-                    probe.emit(
-                        at,
-                        rungs,
-                        Event::ScrubCheck { pfu: target, corrupt, cost: costs.crc_check },
-                    );
-                    cycles += costs.crc_check;
-                }
-                if corrupt {
-                    rfu.pfus_mut().health_mut(target).config_corrupt = true;
-                }
+                cycles += cost;
+                corrupt = fu.transit_corrupts();
+                probe.emit(at, rungs, Event::ScrubCheck { pfu: target, corrupt, cost: crc });
+                cycles += crc;
+            }
+            if corrupt {
+                rfu.pfus_mut().health_mut(target).config_corrupt = true;
             }
         }
 
-        self.seq += 1;
-        self.load_seq[target] = self.seq;
-        self.last_use_seq[target] = self.seq;
-        self.pfu_owner[target] = Some(key);
-        self.pfu_image[target] = image;
-        cycles += Self::tlb_insert(
-            &mut self.tlb_hand, rfu.tlb_hw_mut(), key, target as u32, false, costs, probe, at,
-            reconf,
-        );
+        cycles += self.tlb_insert(rfu, key, target as u32, false, probe, at, reconf);
         FaultResolution::Reissue { cycles }
     }
 
-    /// Re-drive `key`'s full configuration into the slot it already
-    /// occupies (a recovery reconfiguration): fresh static frames clear
-    /// any corruption, and the status-register reset restarts the
-    /// interrupted instruction cleanly — a faulty slot never clocked
-    /// it, so no progress is lost. Returns the cycle cost, or `None`
-    /// if the slot was unexpectedly empty.
-    #[allow(clippy::too_many_arguments)]
+    /// Re-drive the full configuration of `pfu`'s owner into the slot it
+    /// already occupies (a recovery reconfiguration): fresh static frames
+    /// clear any corruption, and the status-register reset restarts the
+    /// interrupted instruction cleanly — a faulty slot never clocked it,
+    /// so no progress is lost. The [`Event::RecoveryRetry`] is attributed
+    /// to the owner at `callsite` and stamped at `stamp(cost)`: the fault
+    /// handler stamps all its work at its entry cycle, the scrubber at
+    /// the clock after the work. Returns the cycle cost, or `None` if the
+    /// slot was unexpectedly empty.
     fn reload_in_place(
-        key: TupleKey,
+        &mut self,
         pfu: PfuIndex,
-        static_bytes: usize,
-        state_words: usize,
         rfu: &mut Rfu,
-        costs: &CostModel,
         probe: &mut Probe,
-        at: u64,
+        callsite: Callsite,
+        stamp: impl FnOnce(u64) -> u64,
     ) -> Option<u64> {
+        let key = self.pfu_owner[pfu]?;
+        let reg = self.registry.get(&key)?;
         let attempt = rfu.pfus().health(pfu).retries + 1;
         rfu.pfus_mut().health_mut(pfu).retries = attempt;
         let (circuit, _) = rfu.pfus_mut().unload(pfu)?;
         rfu.pfus_mut().load(pfu, circuit);
-        let cost = costs.retry_load_cycles(static_bytes, state_words, attempt);
-        let words = (static_bytes as u64).div_ceil(4) + state_words as u64;
+        let cost = self.costs.retry_load_cycles(reg.static_bytes, reg.state_words, attempt);
+        let words = (reg.static_bytes as u64).div_ceil(4) + reg.state_words as u64;
         probe.emit(
-            at,
-            Tag::new(key.pid, Callsite::FaultRungs),
+            stamp(cost),
+            Tag::new(key.pid, callsite),
             Event::RecoveryRetry { key, pfu, attempt, words, cost },
         );
         Some(cost)
     }
 
-    /// The DESIGN.md §9 recovery ladder for a tripped PFU watchdog.
+    /// The DESIGN.md §9 recovery ladder for a tripped PFU watchdog,
+    /// entered after [`Cis::handle_fault`] has charged the detection.
     ///
-    /// Detection charges the burned clocks plus a CRC readback of the
-    /// slot. Corrupt frames (an SEU hit) are repaired in place;
-    /// otherwise the slot takes a hard-fault strike and the ladder
-    /// climbs: bounded retry reconfiguration → software-dispatch
-    /// failover → quarantine-and-relocate, killing the process only
-    /// when every rung is exhausted or disabled.
-    #[allow(clippy::too_many_arguments)]
+    /// Corrupt frames (an SEU hit) are repaired in place; otherwise the
+    /// slot takes a hard-fault strike and the ladder climbs: bounded
+    /// retry reconfiguration → software-dispatch failover →
+    /// quarantine-and-relocate, killing the process only when every
+    /// rung is exhausted or disabled.
     fn recover_pfu_fault(
         &mut self,
         key: TupleKey,
         pfu: PfuIndex,
-        burned: u64,
         rfu: &mut Rfu,
-        procs: &mut BTreeMap<Pid, Process>,
-        policy: &mut dyn ReplacementPolicy,
-        recovery: &RecoveryPolicy,
         faults: Option<&mut FaultUnit>,
-        costs: &CostModel,
         probe: &mut Probe,
         at: u64,
-        mut cycles: u64,
     ) -> FaultResolution {
-        // Diagnose: read the slot's frames back. The burned clocks are
-        // real time the faulting issue consumed that never came back
-        // through the coprocessor port, so they are charged (and
-        // attributed to detection) here.
-        let kind = if rfu.pfus().health(pfu).config_corrupt {
-            PfuFaultKind::CrcMismatch
-        } else {
-            PfuFaultKind::Watchdog
+        let Some(software_alt) = self.registry.get(&key).map(|r| r.software_alt) else {
+            return FaultResolution::Kill { cycles: 0 };
         };
+        debug_assert_eq!(self.resident(key), Some(pfu), "watchdog names the hosting slot");
         let rungs = Tag::new(key.pid, Callsite::FaultRungs);
-        let detect = burned + costs.crc_check;
-        probe.emit(at, rungs, Event::PfuFault { key, pfu, kind, cost: detect });
-        cycles += detect;
-
-        let Some(reg) = procs.get(&key.pid).and_then(|p| p.circuits.get(&key.cid)) else {
-            return FaultResolution::Kill { cycles };
-        };
-        debug_assert_eq!(reg.loaded_at, Some(pfu), "watchdog names the hosting slot");
-        let static_bytes = reg.static_bytes;
-        let state_words = reg.state_words;
-        let software_alt = reg.software_alt;
 
         // Rung 0 — SEU repair: corrupt frames explain the hang, and the
-        // damage lives in the configuration SRAM, not the slot. Bounded
-        // by the slot's reconfiguration allowance (`retries` resets on
-        // every completion): under upsets denser than the reload time a
-        // genuinely hung slot re-corrupts before every watchdog trip,
-        // and an unconditional repair would loop here forever without
-        // ever recording a strike.
-        if kind == PfuFaultKind::CrcMismatch
-            && rfu.pfus().health(pfu).retries <= recovery.max_retries
-        {
-            let Some(cost) =
-                Self::reload_in_place(key, pfu, static_bytes, state_words, rfu, costs, probe, at)
-            else {
-                debug_assert!(false, "watchdog tripped on an empty slot");
-                return FaultResolution::Kill { cycles };
-            };
-            return FaultResolution::Reissue { cycles: cycles + cost };
-        }
+        // damage lives in the configuration SRAM, not the slot (within
+        // the allowance `repairable` shares with the scrubber).
+        if !self.repairable(rfu, pfu) {
+            // A hard fault: the frames verify but the slot never
+            // completes (stuck `done`, hung circuit) — or
+            // repair-in-place keeps failing to clear the hang. Strike
+            // one against the slot.
+            rfu.pfus_mut().health_mut(pfu).fault_count += 1;
+            let health = rfu.pfus().health(pfu);
 
-        // A hard fault: the frames verify but the slot never completes
-        // (stuck `done`, hung circuit) — or repair-in-place keeps
-        // failing to clear the hang. Strike one against the slot.
-        rfu.pfus_mut().health_mut(pfu).fault_count += 1;
-        let health = rfu.pfus().health(pfu);
-
-        // Top rung — quarantine: a persistent offender stops being
-        // allocatable, and the circuit relocates through the normal
-        // placement path (relocation loads are ordinary config-bus
-        // work, charged by the ordinary events).
-        if recovery.quarantine_threshold.is_some_and(|t| health.fault_count >= t) {
-            rfu.pfus_mut().health_mut(pfu).quarantined = true;
-            cycles += self.unload(pfu, rfu, procs, costs, probe, at, rungs);
-            probe.emit(at, rungs, Event::Quarantine { pfu });
-            // The stuck slot never clocked the instruction; restart it
-            // from scratch on the new home.
-            if let Some(reg) = procs.get_mut(&key.pid).and_then(|p| p.circuits.get_mut(&key.cid)) {
-                reg.status = true;
-            }
-            return self.place_and_load(
-                key, rfu, procs, policy, recovery, faults, costs, probe, at, cycles,
-            );
-        }
-
-        // First rung — bounded blind retries: reconfigure the same slot
-        // in case the hang was transient.
-        if health.retries < recovery.max_retries {
-            let Some(cost) =
-                Self::reload_in_place(key, pfu, static_bytes, state_words, rfu, costs, probe, at)
-            else {
-                debug_assert!(false, "watchdog tripped on an empty slot");
-                return FaultResolution::Kill { cycles };
-            };
-            return FaultResolution::Reissue { cycles: cycles + cost };
-        }
-
-        // Second rung — software failover: abandon the slot and reroute
-        // the tuple through TLB2 (§2's graceful degradation).
-        if recovery.software_failover {
-            if let Some(addr) = software_alt {
-                cycles += self.unload(pfu, rfu, procs, costs, probe, at, rungs);
-                if let Some(reg) =
-                    procs.get_mut(&key.pid).and_then(|p| p.circuits.get_mut(&key.cid))
-                {
-                    reg.soft_active = true;
+            // Top rung — quarantine: a persistent offender stops being
+            // allocatable, and the circuit relocates through the normal
+            // placement path (relocation loads are ordinary config-bus
+            // work, charged by the ordinary events).
+            if self.recovery.quarantine_threshold.is_some_and(|t| health.fault_count >= t) {
+                rfu.pfus_mut().health_mut(pfu).quarantined = true;
+                let cycles = self.unload(pfu, rfu, probe, at, rungs);
+                probe.emit(at, rungs, Event::Quarantine { pfu });
+                // The stuck slot never clocked the instruction; restart
+                // it from scratch on the new home.
+                if let Some(reg) = self.registry.get_mut(&key) {
                     reg.status = true;
                 }
-                let cam = rfu.tlb_sw_mut();
-                let slot = match cam.free_slot() {
-                    Some(s) => s,
-                    None => {
-                        let s = self.tlb_hand % cam.capacity();
-                        self.tlb_hand = (s + 1) % cam.capacity();
-                        s
+                return self.place_and_load(key, rfu, faults, probe, at).plus(cycles);
+            }
+
+            // First rung — bounded blind retries reconfigure the same
+            // slot (below) in case the hang was transient. Past them:
+            if health.retries >= self.recovery.max_retries {
+                // Second rung — software failover: abandon the slot and
+                // reroute the tuple through TLB2 (§2's graceful
+                // degradation).
+                if let (true, Some(addr)) = (self.recovery.software_failover, software_alt) {
+                    let cycles = self.unload(pfu, rfu, probe, at, rungs);
+                    if let Some(reg) = self.registry.get_mut(&key) {
+                        reg.soft_active = true;
+                        reg.status = true;
                     }
-                };
-                cam.insert(slot, key, addr);
-                // The TLB2 programming is charged through the failover
-                // event so the work lands in the fault-recovery ledger
-                // category rather than routine TLB maintenance.
-                let cost = costs.tlb_program;
-                probe.emit(at, rungs, Event::SoftwareFailover { key, pfu, cost });
-                cycles += cost;
-                return FaultResolution::Reissue { cycles };
+                    self.program_tlb(rfu.tlb_sw_mut(), key, addr);
+                    // The TLB2 programming is charged through the
+                    // failover event so the work lands in the
+                    // fault-recovery ledger category rather than routine
+                    // TLB maintenance.
+                    let cost = self.costs.tlb_program;
+                    probe.emit(at, rungs, Event::SoftwareFailover { key, pfu, cost });
+                    return FaultResolution::Reissue { cycles: cycles + cost };
+                }
+                // Every rung exhausted or disabled (§4.2: "terminate the
+                // process").
+                return FaultResolution::Kill { cycles: 0 };
             }
         }
 
-        // Every rung exhausted or disabled (§4.2: "terminate the
-        // process").
-        FaultResolution::Kill { cycles }
+        match self.reload_in_place(pfu, rfu, probe, Callsite::FaultRungs, |_| at) {
+            Some(cycles) => FaultResolution::Reissue { cycles },
+            None => {
+                debug_assert!(false, "watchdog tripped on an empty slot");
+                FaultResolution::Kill { cycles: 0 }
+            }
+        }
     }
 
-    /// Process teardown: free its PFUs and purge its TLB entries.
+    /// One scrub pass (DESIGN.md §9): CRC-read every resident
+    /// configuration and repair corrupt frames before dispatch hits
+    /// them. Returns the cycles spent; the kernel advances its clock by
+    /// them, and each event is stamped at `now` plus the work up to and
+    /// including it.
+    pub fn scrub(&mut self, rfu: &mut Rfu, probe: &mut Probe, now: u64) -> u64 {
+        let mut spent = 0;
+        for pfu in 0..self.pfu_owner.len() {
+            if !rfu.pfus().is_loaded(pfu) {
+                continue;
+            }
+            let corrupt = rfu.pfus().health(pfu).config_corrupt;
+            let cost = self.costs.crc_check;
+            spent += cost;
+            // Scrub work is charged to the slot's owner when it has one.
+            let owner = self.pfu_owner[pfu].map_or(0, |k| k.pid);
+            probe.emit(now + spent, Tag::new(owner, Callsite::Scrub), Event::ScrubCheck {
+                pfu,
+                corrupt,
+                cost,
+            });
+            if self.repairable(rfu, pfu) {
+                let before = now + spent;
+                spent += self
+                    .reload_in_place(pfu, rfu, probe, Callsite::Scrub, |cost| before + cost)
+                    .unwrap_or(0);
+            }
+        }
+        spent
+    }
+
+    /// Process teardown: free its PFUs, purge its TLB entries and drop
+    /// its registrations.
     pub fn release_process(&mut self, pid: Pid, rfu: &mut Rfu) {
         for pfu in 0..self.pfu_owner.len() {
             if self.pfu_owner[pfu].is_some_and(|k| k.pid == pid) {
-                self.pfu_owner[pfu] = None;
-                self.pfu_image[pfu] = None;
-                rfu.pfus_mut().unload(pfu);
+                self.detach(pfu, rfu);
             }
         }
+        self.registry.retain(|key, _| key.pid != pid);
         rfu.tlb_hw_mut().invalidate_pid(pid);
         rfu.tlb_sw_mut().invalidate_pid(pid);
     }
@@ -670,54 +657,47 @@ impl Cis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::PolicyKind;
-    use crate::process::{ProcState, Registered};
-    use proteus_cpu::cpu::Context;
-    use proteus_cpu::Memory;
-    use proteus_rfu::behavioral::FixedLatency;
+    use proteus_cpu::coproc::CoprocResult;
     use proteus_cpu::Coprocessor;
+    use proteus_rfu::behavioral::FixedLatency;
     use proteus_rfu::RfuConfig;
 
-    fn proc_with_circuit(pid: Pid, cid: u8, sw: Option<u32>) -> Process {
-        proc_with_image(pid, cid, sw, None)
-    }
-
-    fn proc_with_image(pid: Pid, cid: u8, sw: Option<u32>, image: Option<u64>) -> Process {
-        let mut circuits = BTreeMap::new();
-        circuits.insert(
+    fn circuit(cid: u8, latency: u32, sw: Option<u32>, image: Option<u64>) -> CircuitSpec {
+        CircuitSpec {
             cid,
-            Registered::with_image(Box::new(FixedLatency::new("add", 1, 4, |a, b| a + b)), sw, image),
-        );
-        Process {
-            pid,
-            ctx: Context::default(),
-            mem: Memory::new(1024),
-            rfu_regs: [0; 16],
-            operand_block: [0; 5],
-            state: ProcState::Ready,
-            circuits,
-            circuit_table: Vec::new(),
-            finish_cycle: None,
-            console: Vec::new(),
+            circuit: Box::new(FixedLatency::new("add", latency, 4, |a, b| a + b)),
+            software_alt: sw,
+            image,
         }
     }
 
-    fn setup(n_procs: u32, pfus: usize, mode: DispatchMode, sw: Option<u32>) -> (Cis, Rfu, BTreeMap<Pid, Process>, Box<dyn ReplacementPolicy>, CostModel, Probe) {
-        let cis = Cis::new(pfus, mode);
-        let rfu = Rfu::new(RfuConfig { pfus, ..RfuConfig::default() });
-        let mut procs = BTreeMap::new();
+    /// A CIS under `config`, fitted to an RFU with `pfus` slots and an
+    /// optional watchdog.
+    fn machine(config: KernelConfig, pfus: usize, watchdog: Option<u64>) -> (Cis, Rfu, Probe) {
+        let mut cis = Cis::new(&config);
+        let rfu = Rfu::new(RfuConfig { pfus, watchdog_cycles: watchdog, ..RfuConfig::default() });
+        cis.fit(&rfu);
+        (cis, rfu, Probe::new(256))
+    }
+
+    /// `machine` with processes `1..=n_procs` each registering a
+    /// one-cycle adder as CID 0.
+    fn setup(n_procs: u32, pfus: usize, mode: DispatchMode, sw: Option<u32>) -> (Cis, Rfu, Probe) {
+        let (mut cis, rfu, probe) = machine(KernelConfig { mode, ..KernelConfig::default() }, pfus, None);
         for pid in 1..=n_procs {
-            procs.insert(pid, proc_with_circuit(pid, 0, sw));
+            assert!(cis.register(TupleKey::new(pid, 0), circuit(0, 1, sw, None)));
         }
-        (cis, rfu, procs, PolicyKind::RoundRobin.build(), CostModel::default(), Probe::new(256))
+        (cis, rfu, probe)
+    }
+
+    fn fault(cis: &mut Cis, rfu: &mut Rfu, probe: &mut Probe, key: TupleKey) -> FaultResolution {
+        cis.handle_fault(key, rfu, None, probe, 0)
     }
 
     #[test]
     fn first_fault_loads_into_free_pfu() {
-        let (mut cis, mut rfu, mut procs, mut pol, costs, mut probe) =
-            setup(1, 4, DispatchMode::HardwareOnly, None);
-        let key = TupleKey::new(1, 0);
-        let res = cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
+        let (mut cis, mut rfu, mut probe) = setup(1, 4, DispatchMode::HardwareOnly, None);
+        let res = fault(&mut cis, &mut rfu, &mut probe, TupleKey::new(1, 0));
         match res {
             FaultResolution::Reissue { cycles } => {
                 assert!(cycles > 13_000, "full 54 KB load, got {cycles}");
@@ -726,44 +706,39 @@ mod tests {
         }
         assert_eq!(probe.stats().config_loads, 1);
         // Instruction now dispatches in hardware.
-        assert!(matches!(
-            rfu.exec_custom(1, 0, 2, 3, 0, 0, 100),
-            proteus_cpu::coproc::CoprocResult::Done { value: 5, .. }
-        ));
+        assert!(matches!(rfu.exec_custom(1, 0, 2, 3, 0, 0, 100), CoprocResult::Done { value: 5, .. }));
     }
 
     #[test]
     fn unregistered_cid_kills() {
-        let (mut cis, mut rfu, mut procs, mut pol, costs, mut probe) =
-            setup(1, 4, DispatchMode::HardwareOnly, None);
-        let res = cis.handle_fault(TupleKey::new(1, 9), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
+        let (mut cis, mut rfu, mut probe) = setup(1, 4, DispatchMode::HardwareOnly, None);
+        let res = fault(&mut cis, &mut rfu, &mut probe, TupleKey::new(1, 9));
         assert!(matches!(res, FaultResolution::Kill { .. }));
     }
 
     #[test]
     fn contention_evicts_a_victim() {
-        let (mut cis, mut rfu, mut procs, mut pol, costs, mut probe) =
-            setup(5, 4, DispatchMode::HardwareOnly, None);
+        let (mut cis, mut rfu, mut probe) = setup(5, 4, DispatchMode::HardwareOnly, None);
         for pid in 1..=5 {
-            let res = cis.handle_fault(TupleKey::new(pid, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
+            let res = fault(&mut cis, &mut rfu, &mut probe, TupleKey::new(pid, 0));
             assert!(matches!(res, FaultResolution::Reissue { .. }));
         }
         assert_eq!(probe.stats().config_loads, 5);
         assert_eq!(probe.stats().evictions, 1, "fifth circuit evicted one of the four");
         // The evicted process's registration got its instance (and
         // state) back.
-        let evicted_pid = (1..=5)
-            .find(|p| procs[p].circuits[&0].loaded_at.is_none())
+        let evicted = (1..=5)
+            .map(|pid| TupleKey::new(pid, 0))
+            .find(|&k| cis.resident(k).is_none())
             .expect("someone was evicted");
-        assert!(procs[&evicted_pid].circuits[&0].instance.is_some());
+        assert!(cis.registry[&evicted].instance.is_some());
     }
 
     #[test]
     fn software_fallback_avoids_eviction() {
-        let (mut cis, mut rfu, mut procs, mut pol, costs, mut probe) =
-            setup(5, 4, DispatchMode::SoftwareFallback, Some(0x4000));
+        let (mut cis, mut rfu, mut probe) = setup(5, 4, DispatchMode::SoftwareFallback, Some(0x4000));
         for pid in 1..=5 {
-            cis.handle_fault(TupleKey::new(pid, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
+            fault(&mut cis, &mut rfu, &mut probe, TupleKey::new(pid, 0));
         }
         assert_eq!(probe.stats().config_loads, 4, "only the four free PFUs were filled");
         assert_eq!(probe.stats().evictions, 0);
@@ -771,21 +746,19 @@ mod tests {
         // Fifth process now dispatches to software.
         assert!(matches!(
             rfu.exec_custom(5, 0, 2, 3, 0, 0x88, 100),
-            proteus_cpu::coproc::CoprocResult::SoftwareDispatch { target: 0x4000, .. }
+            CoprocResult::SoftwareDispatch { target: 0x4000, .. }
         ));
     }
 
     #[test]
     fn mapping_fault_is_cheap() {
-        let (mut cis, mut rfu, mut procs, mut pol, costs, mut probe) =
-            setup(1, 4, DispatchMode::HardwareOnly, None);
+        let (mut cis, mut rfu, mut probe) = setup(1, 4, DispatchMode::HardwareOnly, None);
         let key = TupleKey::new(1, 0);
-        cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
+        fault(&mut cis, &mut rfu, &mut probe, key);
         // Simulate the TLB entry being pushed out while the circuit
         // stays resident.
         rfu.tlb_hw_mut().invalidate(key);
-        let res = cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
-        match res {
+        match fault(&mut cis, &mut rfu, &mut probe, key) {
             FaultResolution::Reissue { cycles } => {
                 assert!(cycles < 200, "mapping fault must not reload 54 KB, got {cycles}");
             }
@@ -795,22 +768,24 @@ mod tests {
         assert_eq!(probe.stats().config_loads, 1, "no second load");
     }
 
+    /// One PFU with sharing on, processes 1 and 2 registering CID 0
+    /// with configuration images `a` and `b`.
+    fn sharing(a: u64, b: u64) -> (Cis, Rfu, Probe) {
+        let config = KernelConfig { share_circuits: true, ..KernelConfig::default() };
+        let (mut cis, rfu, probe) = machine(config, 1, None);
+        assert!(cis.register(TupleKey::new(1, 0), circuit(0, 1, None, Some(a))));
+        assert!(cis.register(TupleKey::new(2, 0), circuit(0, 1, None, Some(b))));
+        (cis, rfu, probe)
+    }
+
     #[test]
     fn sharing_hands_over_via_state_swap() {
         // One PFU, two processes with the SAME configuration image:
         // the second fault must resolve with a state swap, not a load.
-        let mut cis = Cis::with_sharing(1, DispatchMode::HardwareOnly, true);
-        let mut rfu = Rfu::new(RfuConfig { pfus: 1, ..RfuConfig::default() });
-        let mut procs = BTreeMap::new();
-        procs.insert(1, proc_with_image(1, 0, None, Some(77)));
-        procs.insert(2, proc_with_image(2, 0, None, Some(77)));
-        let mut pol = PolicyKind::RoundRobin.build();
-        let costs = CostModel::default();
-        let mut probe = Probe::new(256);
-
-        let r1 = cis.handle_fault(TupleKey::new(1, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
+        let (mut cis, mut rfu, mut probe) = sharing(77, 77);
+        let r1 = fault(&mut cis, &mut rfu, &mut probe, TupleKey::new(1, 0));
         assert!(matches!(r1, FaultResolution::Reissue { cycles } if cycles > 13_000), "first is a full load");
-        match cis.handle_fault(TupleKey::new(2, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0) {
+        match fault(&mut cis, &mut rfu, &mut probe, TupleKey::new(2, 0)) {
             FaultResolution::Reissue { cycles } => {
                 assert!(cycles < 500, "handover must be a state swap, took {cycles}");
             }
@@ -821,26 +796,33 @@ mod tests {
         assert_eq!(probe.stats().evictions, 0);
         // Process 2 now dispatches in hardware; process 1's mapping is
         // gone and its instance is home with its state.
-        assert!(matches!(
-            rfu.exec_custom(2, 0, 4, 5, 0, 0, 100),
-            proteus_cpu::coproc::CoprocResult::Done { value: 9, .. }
-        ));
+        assert!(matches!(rfu.exec_custom(2, 0, 4, 5, 0, 0, 100), CoprocResult::Done { value: 9, .. }));
         assert!(rfu.tlb_hw().lookup(TupleKey::new(1, 0)).is_none());
-        assert!(procs[&1].circuits[&0].instance.is_some());
+        assert!(cis.registry[&TupleKey::new(1, 0)].instance.is_some());
+    }
+
+    #[test]
+    fn sharing_handover_keeps_corruption() {
+        // The handover rewrites only state frames: an SEU in the shared
+        // static frames is still there for the scrubber or the watchdog
+        // path to repair.
+        let (mut cis, mut rfu, mut probe) = sharing(77, 77);
+        fault(&mut cis, &mut rfu, &mut probe, TupleKey::new(1, 0));
+        rfu.pfus_mut().health_mut(0).config_corrupt = true;
+        fault(&mut cis, &mut rfu, &mut probe, TupleKey::new(2, 0));
+        assert_eq!(probe.stats().state_swaps, 1);
+        assert_eq!(cis.resident(TupleKey::new(2, 0)), Some(0));
+        assert!(rfu.pfus().health(0).config_corrupt, "a state swap cannot repair static frames");
+        // Process 1 went home with a restart-not-resume status: the
+        // corrupt slot's status bit was untrustworthy.
+        assert!(cis.registry[&TupleKey::new(1, 0)].status);
     }
 
     #[test]
     fn different_images_do_not_share() {
-        let mut cis = Cis::with_sharing(1, DispatchMode::HardwareOnly, true);
-        let mut rfu = Rfu::new(RfuConfig { pfus: 1, ..RfuConfig::default() });
-        let mut procs = BTreeMap::new();
-        procs.insert(1, proc_with_image(1, 0, None, Some(77)));
-        procs.insert(2, proc_with_image(2, 0, None, Some(88)));
-        let mut pol = PolicyKind::RoundRobin.build();
-        let costs = CostModel::default();
-        let mut probe = Probe::new(256);
-        cis.handle_fault(TupleKey::new(1, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
-        cis.handle_fault(TupleKey::new(2, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
+        let (mut cis, mut rfu, mut probe) = sharing(77, 88);
+        fault(&mut cis, &mut rfu, &mut probe, TupleKey::new(1, 0));
+        fault(&mut cis, &mut rfu, &mut probe, TupleKey::new(2, 0));
         assert_eq!(probe.stats().state_swaps, 0);
         assert_eq!(probe.stats().config_loads, 2);
         assert_eq!(probe.stats().evictions, 1, "incompatible images evict as usual");
@@ -848,47 +830,48 @@ mod tests {
 
     #[test]
     fn release_process_frees_pfus_and_tlbs() {
-        let (mut cis, mut rfu, mut procs, mut pol, costs, mut probe) =
-            setup(2, 4, DispatchMode::HardwareOnly, None);
-        cis.handle_fault(TupleKey::new(1, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
-        cis.handle_fault(TupleKey::new(2, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
+        let (mut cis, mut rfu, mut probe) = setup(2, 4, DispatchMode::HardwareOnly, None);
+        fault(&mut cis, &mut rfu, &mut probe, TupleKey::new(1, 0));
+        fault(&mut cis, &mut rfu, &mut probe, TupleKey::new(2, 0));
         cis.release_process(1, &mut rfu);
         assert_eq!(rfu.pfus().free_pfus().len(), 3);
         assert_eq!(rfu.tlb_hw().lookup(TupleKey::new(1, 0)), None);
         assert!(rfu.tlb_hw().lookup(TupleKey::new(2, 0)).is_some());
+        assert!(cis.registration(TupleKey::new(1, 0)).is_none(), "registrations dropped");
+        assert!(cis.registration(TupleKey::new(2, 0)).is_some());
     }
 
-    fn watchdog_rfu(pfus: usize, wd: u64) -> Rfu {
-        Rfu::new(RfuConfig { pfus, watchdog_cycles: Some(wd), ..RfuConfig::default() })
+    /// A CIS with `recovery`, one process registering CID 0 (with
+    /// software alternative `sw`), on `pfus` slots guarded by a
+    /// 100-cycle watchdog, with the circuit already loaded.
+    fn loaded_with_watchdog(pfus: usize, recovery: RecoveryPolicy, sw: Option<u32>) -> (Cis, Rfu, Probe) {
+        let (mut cis, mut rfu, mut probe) =
+            machine(KernelConfig { recovery, ..KernelConfig::default() }, pfus, Some(100));
+        assert!(cis.register(TupleKey::new(1, 0), circuit(0, 1, sw, None)));
+        fault(&mut cis, &mut rfu, &mut probe, TupleKey::new(1, 0));
+        (cis, rfu, probe)
     }
 
     /// Drive one watchdog trip: issue the instruction until the RFU
     /// reports a fault (the faulty slot burns its watchdog allowance).
     fn trip(rfu: &mut Rfu, pid: Pid) {
         assert!(
-            matches!(
-                rfu.exec_custom(pid, 0, 2, 3, 0, 0, 100_000),
-                proteus_cpu::coproc::CoprocResult::Fault
-            ),
+            matches!(rfu.exec_custom(pid, 0, 2, 3, 0, 0, 100_000), CoprocResult::Fault),
             "expected a watchdog trip"
         );
     }
 
     #[test]
     fn seu_corruption_is_repaired_in_place() {
-        let (mut cis, _, mut procs, mut pol, costs, mut probe) =
-            setup(1, 4, DispatchMode::HardwareOnly, None);
-        let mut rfu = watchdog_rfu(4, 100);
+        let (mut cis, mut rfu, mut probe) = loaded_with_watchdog(4, RecoveryPolicy::default(), None);
         let key = TupleKey::new(1, 0);
-        cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
-        let pfu = procs[&1].circuits[&0].loaded_at.expect("loaded");
+        let pfu = cis.resident(key).expect("loaded");
 
         // An SEU corrupts the resident frames; the next issue hangs,
         // the watchdog trips, and the handler repairs in place.
         rfu.pfus_mut().health_mut(pfu).config_corrupt = true;
         trip(&mut rfu, 1);
-        let res = cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
-        match res {
+        match fault(&mut cis, &mut rfu, &mut probe, key) {
             FaultResolution::Reissue { cycles } => {
                 assert!(cycles > 13_000, "repair re-drives the full configuration: {cycles}");
             }
@@ -899,93 +882,72 @@ mod tests {
         assert_eq!(probe.stats().recovery_retries, 1);
         assert_eq!(probe.stats().quarantines, 0);
         // Recovered: same slot, correct result.
-        assert_eq!(procs[&1].circuits[&0].loaded_at, Some(pfu));
-        assert!(matches!(
-            rfu.exec_custom(1, 0, 2, 3, 0, 0, 100_000),
-            proteus_cpu::coproc::CoprocResult::Done { value: 5, .. }
-        ));
+        assert_eq!(cis.resident(key), Some(pfu));
+        assert!(matches!(rfu.exec_custom(1, 0, 2, 3, 0, 0, 100_000), CoprocResult::Done { value: 5, .. }));
     }
 
     #[test]
     fn stuck_done_escalates_to_quarantine_and_relocation() {
-        let (mut cis, _, mut procs, mut pol, costs, mut probe) =
-            setup(1, 4, DispatchMode::HardwareOnly, None);
-        let mut rfu = watchdog_rfu(4, 100);
         let recovery =
             RecoveryPolicy { max_retries: 1, software_failover: false, quarantine_threshold: Some(2) };
+        let (mut cis, mut rfu, mut probe) = loaded_with_watchdog(4, recovery, None);
         let key = TupleKey::new(1, 0);
-        cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &recovery, None, &costs, &mut probe, 0);
-        let home = procs[&1].circuits[&0].loaded_at.expect("loaded");
+        let home = cis.resident(key).expect("loaded");
         rfu.pfus_mut().health_mut(home).stuck_done = true;
 
         // Trip 1: the blind retry reconfigures the same (still stuck)
         // slot. Trip 2: strike two, quarantine and relocate.
         trip(&mut rfu, 1);
-        cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &recovery, None, &costs, &mut probe, 0);
+        fault(&mut cis, &mut rfu, &mut probe, key);
         assert_eq!(probe.stats().recovery_retries, 1);
         trip(&mut rfu, 1);
-        let res = cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &recovery, None, &costs, &mut probe, 0);
+        let res = fault(&mut cis, &mut rfu, &mut probe, key);
         assert!(matches!(res, FaultResolution::Reissue { .. }));
 
         assert_eq!(probe.stats().quarantines, 1);
         assert!(rfu.pfus().health(home).quarantined);
-        let new_home = procs[&1].circuits[&0].loaded_at.expect("relocated");
+        let new_home = cis.resident(key).expect("relocated");
         assert_ne!(new_home, home, "circuit moved off the quarantined slot");
         assert!(!rfu.pfus().available_pfus().contains(&home));
         // Degraded but correct: the instruction completes on the new
         // home.
-        assert!(matches!(
-            rfu.exec_custom(1, 0, 2, 3, 0, 0, 100_000),
-            proteus_cpu::coproc::CoprocResult::Done { value: 5, .. }
-        ));
+        assert!(matches!(rfu.exec_custom(1, 0, 2, 3, 0, 0, 100_000), CoprocResult::Done { value: 5, .. }));
     }
 
     #[test]
     fn exhausted_retries_fail_over_to_software() {
-        let (mut cis, _, mut procs, mut pol, costs, mut probe) =
-            setup(1, 1, DispatchMode::HardwareOnly, Some(0x4000));
-        let mut rfu = watchdog_rfu(1, 100);
         let recovery =
             RecoveryPolicy { max_retries: 0, software_failover: true, quarantine_threshold: None };
+        let (mut cis, mut rfu, mut probe) = loaded_with_watchdog(1, recovery, Some(0x4000));
         let key = TupleKey::new(1, 0);
-        cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &recovery, None, &costs, &mut probe, 0);
         rfu.pfus_mut().health_mut(0).stuck_done = true;
 
         trip(&mut rfu, 1);
-        let res = cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &recovery, None, &costs, &mut probe, 0);
+        let res = fault(&mut cis, &mut rfu, &mut probe, key);
         assert!(matches!(res, FaultResolution::Reissue { .. }));
         assert_eq!(probe.stats().fault_failovers, 1);
         assert_eq!(probe.stats().recovery_retries, 0, "retry rung was disabled");
-        assert!(procs[&1].circuits[&0].soft_active);
+        assert!(cis.registry[&key].soft_active);
         assert!(rfu.pfus().free_pfus().contains(&0), "the abandoned slot was unloaded");
         // The reissue dispatches through TLB2 to the alternative.
         assert!(matches!(
             rfu.exec_custom(1, 0, 2, 3, 0, 0x88, 100_000),
-            proteus_cpu::coproc::CoprocResult::SoftwareDispatch { target: 0x4000, .. }
+            CoprocResult::SoftwareDispatch { target: 0x4000, .. }
         ));
     }
 
     #[test]
     fn retry_only_policy_kills_on_persistent_fault() {
-        let (mut cis, _, mut procs, mut pol, costs, mut probe) =
-            setup(1, 1, DispatchMode::HardwareOnly, Some(0x4000));
-        let mut rfu = watchdog_rfu(1, 100);
-        let recovery = RecoveryPolicy::retry_only(1);
+        let (mut cis, mut rfu, mut probe) =
+            loaded_with_watchdog(1, RecoveryPolicy::retry_only(1), Some(0x4000));
         let key = TupleKey::new(1, 0);
-        cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &recovery, None, &costs, &mut probe, 0);
         rfu.pfus_mut().health_mut(0).stuck_done = true;
 
         trip(&mut rfu, 1);
-        assert!(matches!(
-            cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &recovery, None, &costs, &mut probe, 0),
-            FaultResolution::Reissue { .. }
-        ));
+        assert!(matches!(fault(&mut cis, &mut rfu, &mut probe, key), FaultResolution::Reissue { .. }));
         trip(&mut rfu, 1);
         // Retries exhausted, failover disabled: the ladder bottoms out.
-        assert!(matches!(
-            cis.handle_fault(key, &mut rfu, &mut procs, pol.as_mut(), &recovery, None, &costs, &mut probe, 0),
-            FaultResolution::Kill { .. }
-        ));
+        assert!(matches!(fault(&mut cis, &mut rfu, &mut probe, key), FaultResolution::Kill { .. }));
     }
 
     #[test]
@@ -993,43 +955,31 @@ mod tests {
         // One PFU, two processes with multi-cycle circuits: process 1's
         // instruction is interrupted, evicted, reloaded, and must resume
         // where it stopped.
-        let mut cis = Cis::new(1, DispatchMode::HardwareOnly);
-        let mut rfu = Rfu::new(RfuConfig { pfus: 1, ..RfuConfig::default() });
-        let mut procs = BTreeMap::new();
+        let (mut cis, mut rfu, mut probe) = machine(KernelConfig::default(), 1, None);
         for pid in 1..=2u32 {
-            let mut p = proc_with_circuit(pid, 0, None);
-            p.circuits.insert(
-                0,
-                Registered::new(Box::new(FixedLatency::new("slow", 10, 4, |a, b| a + b)), None),
-            );
-            procs.insert(pid, p);
+            assert!(cis.register(TupleKey::new(pid, 0), circuit(0, 10, None, None)));
         }
-        let mut pol = PolicyKind::RoundRobin.build();
-        let costs = CostModel::default();
-        let mut probe = Probe::new(256);
 
-        cis.handle_fault(TupleKey::new(1, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
+        fault(&mut cis, &mut rfu, &mut probe, TupleKey::new(1, 0));
         // Run 4 of 10 cycles, then get interrupted.
-        assert!(matches!(
-            rfu.exec_custom(1, 0, 20, 22, 0, 0, 4),
-            proteus_cpu::coproc::CoprocResult::Interrupted { cycles: 4 }
-        ));
+        assert!(matches!(rfu.exec_custom(1, 0, 20, 22, 0, 0, 4), CoprocResult::Interrupted { cycles: 4 }));
         // Process 2 steals the PFU.
-        cis.handle_fault(TupleKey::new(2, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
-        assert!(matches!(
-            rfu.exec_custom(2, 0, 1, 1, 0, 0, 1000),
-            proteus_cpu::coproc::CoprocResult::Done { value: 2, .. }
-        ));
+        fault(&mut cis, &mut rfu, &mut probe, TupleKey::new(2, 0));
+        assert!(matches!(rfu.exec_custom(2, 0, 1, 1, 0, 0, 1000), CoprocResult::Done { value: 2, .. }));
         // Process 1 faults (its mapping is gone), gets reloaded, and the
         // reissued instruction needs only the remaining 6 cycles.
+        assert!(matches!(rfu.exec_custom(1, 0, 20, 22, 0, 0, 1000), CoprocResult::Fault));
+        fault(&mut cis, &mut rfu, &mut probe, TupleKey::new(1, 0));
         assert!(matches!(
             rfu.exec_custom(1, 0, 20, 22, 0, 0, 1000),
-            proteus_cpu::coproc::CoprocResult::Fault
+            CoprocResult::Done { value: 42, cycles: 6 }
         ));
-        cis.handle_fault(TupleKey::new(1, 0), &mut rfu, &mut procs, pol.as_mut(), &RecoveryPolicy::default(), None, &costs, &mut probe, 0);
-        assert!(matches!(
-            rfu.exec_custom(1, 0, 20, 22, 0, 0, 1000),
-            proteus_cpu::coproc::CoprocResult::Done { value: 42, cycles: 6 }
-        ));
+    }
+
+    #[test]
+    fn registering_a_key_twice_is_refused() {
+        let (mut cis, _, _) = setup(1, 4, DispatchMode::HardwareOnly, Some(0x4000));
+        assert!(!cis.register(TupleKey::new(1, 0), circuit(0, 1, None, None)));
+        assert_eq!(cis.registry[&TupleKey::new(1, 0)].software_alt, Some(0x4000), "first record kept");
     }
 }

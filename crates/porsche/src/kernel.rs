@@ -1,7 +1,7 @@
 //! The kernel proper: process table, pre-emptive round-robin scheduler,
 //! system calls, and the machine run loop.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::error::Error;
 use std::fmt;
 
@@ -13,9 +13,9 @@ use proteus_rfu::{Rfu, TupleKey};
 use crate::cis::{Cis, DispatchMode, FaultResolution};
 use crate::costs::CostModel;
 use crate::fault::{FaultPlan, FaultUnit, RecoveryPolicy};
-use crate::policy::{PolicyKind, ReplacementPolicy};
+use crate::policy::PolicyKind;
 use crate::probe::{AttributedLedger, Callsite, CycleLedger, Event, EventSink, Probe, Tag};
-use crate::process::{CircuitSpec, Pid, ProcState, Process, Registered};
+use crate::process::{CircuitSpec, Pid, ProcState, Process};
 use crate::stats::KernelStats;
 use crate::trace::Trace;
 
@@ -227,8 +227,7 @@ pub struct Kernel {
     ready: VecDeque<Pid>,
     current: Option<Pid>,
     next_pid: Pid,
-    cis: Option<Cis>,
-    policy: Box<dyn ReplacementPolicy>,
+    cis: Cis,
     probe: Probe,
     quantum_end: u64,
     faults: Option<FaultUnit>,
@@ -237,7 +236,7 @@ pub struct Kernel {
 impl Kernel {
     /// A kernel with no processes.
     pub fn new(config: KernelConfig) -> Self {
-        let policy = config.policy.build();
+        let cis = Cis::new(&config);
         let probe = Probe::new(config.trace_capacity);
         let faults = config.faults.map(FaultUnit::new);
         Self {
@@ -246,8 +245,7 @@ impl Kernel {
             ready: VecDeque::new(),
             current: None,
             next_pid: 1,
-            cis: None,
-            policy,
+            cis,
             probe,
             quantum_end: 0,
             faults,
@@ -289,12 +287,13 @@ impl Kernel {
         let mut ctx = Context::default();
         ctx.regs[13] = mem_size; // full descending stack at the top
         ctx.regs[15] = spec.entry;
-        let mut circuits = BTreeMap::new();
+        let mut cids = BTreeSet::new();
+        if let Some(dup) = spec.circuits.iter().find(|c| !cids.insert(c.cid)) {
+            return Err(KernelError::DuplicateCid { pid, cid: dup.cid });
+        }
         for c in spec.circuits {
-            let reg = Registered::with_image(c.circuit, c.software_alt, c.image);
-            if circuits.insert(c.cid, reg).is_some() {
-                return Err(KernelError::DuplicateCid { pid, cid: 0 });
-            }
+            let fresh = self.cis.register(TupleKey::new(pid, c.cid), c);
+            debug_assert!(fresh, "a new process has no registrations");
         }
         self.procs.insert(
             pid,
@@ -305,7 +304,6 @@ impl Kernel {
                 rfu_regs: [0; 16],
                 operand_block: [0; 5],
                 state: ProcState::Ready,
-                circuits,
                 circuit_table: spec.circuit_table,
                 finish_cycle: None,
                 console: Vec::new(),
@@ -430,62 +428,8 @@ impl Kernel {
             }
         }
         if fu.take_due_scrub(now) {
-            self.scrub(cpu, rfu);
-        }
-    }
-
-    /// One scrub pass (DESIGN.md §9): CRC-read every resident
-    /// configuration and repair corrupt frames before dispatch hits
-    /// them. Detection and repair advance the simulated clock.
-    fn scrub(&mut self, cpu: &mut Cpu, rfu: &mut Rfu) {
-        let owners: Vec<Option<TupleKey>> = match self.cis.as_ref() {
-            Some(cis) => cis.pfu_owners().to_vec(),
-            None => return,
-        };
-        for (pfu, owner) in owners.iter().enumerate() {
-            if !rfu.pfus().is_loaded(pfu) {
-                continue;
-            }
-            let corrupt = rfu.pfus().health(pfu).config_corrupt;
-            let cost = self.config.costs.crc_check;
-            cpu.add_cycles(cost);
-            // Scrub work is charged to the slot's owner when it has one.
-            let tag = Tag::new(owner.map_or(0, |k| k.pid), Callsite::Scrub);
-            self.probe.emit(cpu.cycles(), tag, Event::ScrubCheck { pfu, corrupt, cost });
-            if !corrupt {
-                continue;
-            }
-            // Repair by re-driving the configuration; transfer sizes
-            // come from the owner's registration record.
-            let Some(key) = *owner else { continue };
-            // Repairs share the slot's reconfiguration allowance
-            // (`retries`, reset on every completion) with the fault
-            // handler's rung 0: under upsets denser than the reload
-            // time an unconditional scrubber re-repairs at every
-            // scheduling boundary and starves execution outright.
-            // Beyond the allowance the corruption is left in place for
-            // the dispatch-time ladder to escalate on.
-            if rfu.pfus().health(pfu).retries > self.config.recovery.max_retries {
-                continue;
-            }
-            let Some(reg) = self.procs.get(&key.pid).and_then(|p| p.circuits.get(&key.cid))
-            else {
-                continue;
-            };
-            let (static_bytes, state_words) = (reg.static_bytes, reg.state_words);
-            let attempt = rfu.pfus().health(pfu).retries + 1;
-            rfu.pfus_mut().health_mut(pfu).retries = attempt;
-            if let Some((circuit, _)) = rfu.pfus_mut().unload(pfu) {
-                rfu.pfus_mut().load(pfu, circuit);
-                let cost = self.config.costs.retry_load_cycles(static_bytes, state_words, attempt);
-                let words = (static_bytes as u64).div_ceil(4) + state_words as u64;
-                cpu.add_cycles(cost);
-                self.probe.emit(
-                    cpu.cycles(),
-                    Tag::new(key.pid, Callsite::Scrub),
-                    Event::RecoveryRetry { key, pfu, attempt, words, cost },
-                );
-            }
+            let spent = self.cis.scrub(rfu, &mut self.probe, now);
+            cpu.add_cycles(spent);
         }
     }
 
@@ -525,9 +469,7 @@ impl Kernel {
     /// Terminate the current process with the given state.
     fn terminate(&mut self, state: ProcState, cpu: &mut Cpu, rfu: &mut Rfu) {
         let Some(pid) = self.current.take() else { return };
-        if let Some(cis) = self.cis.as_mut() {
-            cis.release_process(pid, rfu);
-        }
+        self.cis.release_process(pid, rfu);
         if let Some(p) = self.procs.get_mut(&pid) {
             p.state = state;
             p.finish_cycle = Some(cpu.cycles());
@@ -568,21 +510,21 @@ impl Kernel {
                 }
             }
             swi::REGISTER => {
-                let cid = (cpu.reg(0) & 0xFF) as u8;
+                let key = TupleKey::new(pid, (cpu.reg(0) & 0xFF) as u8);
                 let idx = cpu.reg(1) as usize;
                 let sw = cpu.reg(2);
-                let ok = self.procs.get_mut(&pid).is_some_and(|p| {
-                    match p.circuit_table.get_mut(idx).and_then(Option::take) {
-                        Some(spec) if !p.circuits.contains_key(&cid) => {
-                            let sw_alt = if sw == 0 { spec.software_alt } else { Some(sw) };
-                            p.circuits
-                                .insert(cid, Registered::with_image(spec.circuit, sw_alt, spec.image));
-                            true
-                        }
-                        _ => false,
+                let spec = self
+                    .procs
+                    .get_mut(&pid)
+                    .and_then(|p| p.circuit_table.get_mut(idx))
+                    .and_then(Option::take);
+                let registered = spec.is_some_and(|mut spec| {
+                    if sw != 0 {
+                        spec.software_alt = Some(sw);
                     }
+                    self.cis.register(key, spec)
                 });
-                if !ok {
+                if !registered {
                     self.terminate(ProcState::Killed, cpu, rfu);
                 }
             }
@@ -628,13 +570,7 @@ impl Kernel {
         stop_cycle: u64,
         cycle_limit: u64,
     ) -> Result<bool, KernelError> {
-        if self.cis.is_none() {
-            self.cis = Some(Cis::with_sharing(
-                rfu.config().pfus,
-                self.config.mode,
-                self.config.share_circuits,
-            ));
-        }
+        self.cis.fit(rfu);
         // Dispatch the first process.
         if self.current.is_none() {
             if let Some(first) = self.ready.pop_front() {
@@ -701,21 +637,10 @@ impl Kernel {
                 }
                 Stop::Swi { imm } => self.syscall(imm, cpu, rfu),
                 Stop::CustomFault { cid, .. } => {
-                    let key = TupleKey::new(pid, cid);
-                    let Some(cis) = self.cis.as_mut() else {
-                        // Created at function entry; cannot be absent.
-                        debug_assert!(false, "CIS missing during dispatch");
-                        self.terminate(ProcState::Killed, cpu, rfu);
-                        continue;
-                    };
-                    let resolution = cis.handle_fault(
-                        key,
+                    let resolution = self.cis.handle_fault(
+                        TupleKey::new(pid, cid),
                         rfu,
-                        &mut self.procs,
-                        self.policy.as_mut(),
-                        &self.config.recovery,
                         self.faults.as_mut(),
-                        &self.config.costs,
                         &mut self.probe,
                         cpu.cycles(),
                     );
@@ -902,6 +827,25 @@ mod tests {
         // exits the remaining yields become cheap timer ticks.
         assert!(report.stats.context_switches >= 2, "stats: {:?}", report.stats);
         assert!(report.stats.timer_ticks >= 40, "stats: {:?}", report.stats);
+    }
+
+    #[test]
+    fn duplicate_cid_reports_the_cid_and_registers_nothing() {
+        let p = assemble("swi #0\n").expect("asm");
+        let adder = |cid| CircuitSpec {
+            cid,
+            circuit: Box::new(FixedLatency::new("add", 1, 4, |a, b| a.wrapping_add(b))),
+            software_alt: None,
+            image: None,
+        };
+        let spec = SpawnSpec::new(&p).circuit(adder(3)).circuit(adder(7)).circuit(adder(7));
+        let mut k = Kernel::new(KernelConfig::default());
+        let err = k.spawn(spec).expect_err("CID 7 registered twice");
+        assert!(matches!(err, KernelError::DuplicateCid { pid: 1, cid: 7 }), "{err:?}");
+        assert_eq!(err.to_string(), "process 1 registered CID 7 twice");
+        for cid in [3, 7] {
+            assert!(k.cis.registration(TupleKey::new(1, cid)).is_none(), "CID {cid} left registered");
+        }
     }
 
     #[test]

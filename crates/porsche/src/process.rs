@@ -2,7 +2,7 @@
 
 use proteus_cpu::cpu::Context;
 use proteus_cpu::Memory;
-use proteus_rfu::{PfuCircuit, PfuIndex};
+use proteus_rfu::PfuCircuit;
 
 /// A process identifier. PIDs start at 1; 0 is reserved (never a valid
 /// TLB key owner).
@@ -57,7 +57,8 @@ impl std::fmt::Debug for CircuitSpec {
     }
 }
 
-/// The CIS's registration record for one `(process, CID)`.
+/// The CIS's registration record for one `(process, CID)`. Where the
+/// circuit is resident is the CIS's PFU ownership table, not this record.
 pub struct Registered {
     /// The circuit instance when *not* resident on the array (its state
     /// frames travel inside). `None` while loaded into a PFU.
@@ -65,8 +66,6 @@ pub struct Registered {
     /// Saved PFU status bit (init/done feedback, §4.4) captured when the
     /// circuit was swapped out mid-instruction.
     pub status: bool,
-    /// Which PFU currently hosts the circuit.
-    pub loaded_at: Option<PfuIndex>,
     /// Software alternative address, if registered.
     pub software_alt: Option<u32>,
     /// Static configuration size (bytes) — cached for cost accounting.
@@ -86,7 +85,6 @@ pub struct Registered {
 impl std::fmt::Debug for Registered {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Registered")
-            .field("loaded_at", &self.loaded_at)
             .field("software_alt", &self.software_alt)
             .field("status", &self.status)
             .finish_non_exhaustive()
@@ -94,23 +92,14 @@ impl std::fmt::Debug for Registered {
 }
 
 impl Registered {
-    /// Record for a freshly registered circuit.
-    pub fn new(circuit: Box<dyn PfuCircuit>, software_alt: Option<u32>) -> Self {
-        Self::with_image(circuit, software_alt, None)
-    }
-
-    /// Record with a shared-configuration image identity.
-    pub fn with_image(
-        circuit: Box<dyn PfuCircuit>,
-        software_alt: Option<u32>,
-        image: Option<u64>,
-    ) -> Self {
+    /// Record for a freshly registered circuit, with its software
+    /// alternative and shared-configuration image identity.
+    pub fn new(circuit: Box<dyn PfuCircuit>, software_alt: Option<u32>, image: Option<u64>) -> Self {
         let static_bytes = circuit.static_config_bytes();
         let state_words = circuit.state_words();
         Self {
             instance: Some(circuit),
             status: true,
-            loaded_at: None,
             software_alt,
             static_bytes,
             state_words,
@@ -135,8 +124,6 @@ pub struct Process {
     pub operand_block: [u32; 5],
     /// Lifecycle state.
     pub state: ProcState,
-    /// Registered custom instructions by CID.
-    pub circuits: std::collections::BTreeMap<u8, Registered>,
     /// Circuits handed to the process at spawn for later `swi #3`
     /// registration (index = `r1`).
     pub circuit_table: Vec<Option<CircuitSpec>>,

@@ -47,6 +47,20 @@ diff scripts/golden/fault_campaign_quick.csv "$serial_dir/fault_campaign.csv"
 diff scripts/golden/breakdown_fault_campaign_quick.csv "$serial_dir/breakdown_fault_campaign.csv"
 echo "fault campaign deterministic and matches the golden matrix and breakdown"
 
+echo "== full-scale sharing and config-split ablations (committed results diff) =="
+# At quick scale no Alpha run has more than four instances, so sharing
+# never swaps state and the A4 write-back path never runs; the committed
+# full-scale CSVs pin both.
+full_dir=target/ci-repro/full
+rm -rf "$full_dir"
+cargo run --release -p proteus-bench --bin repro -- \
+    --jobs 2 --out "$full_dir" sharing config-split >/dev/null
+for f in ablation_sharing.csv ablation_config_split.csv \
+         breakdown_ablation_sharing.csv breakdown_ablation_config_split.csv; do
+    diff "results/$f" "$full_dir/$f"
+done
+echo "sharing and config-split ablations match the committed results"
+
 echo "== profiling exports (folded determinism, golden diff, Chrome trace) =="
 cargo run --release -p proteus-bench --bin repro -- \
     --quick --jobs 1 --out "$serial_dir" --flame fig3 >/dev/null
