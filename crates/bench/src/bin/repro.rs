@@ -43,8 +43,10 @@
 use std::path::Path;
 use std::time::Instant;
 
-use porsche::chrome::{chrome_trace_json, escape as json_escape};
-use porsche::probe::AttributedLedger;
+use porsche::chrome::chrome_trace_json;
+use porsche::json::{self, Array, Fixed, Object};
+use porsche::object;
+use porsche::probe::{AttributedLedger, CycleLedger};
 use proteus::experiment::{demo_scenario, plan_for, resolve_target, RunTarget, Scale, EXPERIMENTS};
 use proteus::runner::{default_workers, PlanMetrics};
 use proteus::scenario::ScenarioResult;
@@ -70,30 +72,6 @@ fn emit_breakdown(m: &PlanMetrics, outdir: &Path) {
     }
 }
 
-/// What one traced demo run contributed, for `summary.json`'s `traces`
-/// section: truncated timelines must be visible, not silent.
-struct TraceInfo {
-    scenario: &'static str,
-    output: String,
-    events: usize,
-    dropped: u64,
-    total_cycles: u64,
-}
-
-impl TraceInfo {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"scenario\": \"{}\", \"output\": \"{}\", \"events\": {}, \
-             \"dropped_events\": {}, \"total_cycles\": {}}}",
-            json_escape(self.scenario),
-            json_escape(&self.output),
-            self.events,
-            self.dropped,
-            self.total_cycles,
-        )
-    }
-}
-
 /// Run the contended demo scenario of `app` with tracing enabled,
 /// panicking on simulation/checksum failure and warning when the trace
 /// ring overflowed (the dump is then the *tail* of the timeline).
@@ -106,71 +84,38 @@ fn run_demo(app: AppKind, quick: bool) -> ScenarioResult {
     result
 }
 
-fn warn_on_drops(name: &str, dropped: u64) {
+/// `--trace <app>` / `--chrome-trace <app>`: run the demo and write its
+/// trace ring as JSON lines (`trace_<app>.jsonl`) or, with `chrome`, as
+/// a Chrome trace-event document with per-PFU residency timelines
+/// (`chrome_trace_<app>.json`). Returns the dump's entry for
+/// `summary.json`'s `traces` section: truncated timelines must be
+/// visible, not silent.
+fn dump_trace(app: AppKind, quick: bool, outdir: &Path, chrome: bool) -> Object {
+    let name = app.name();
+    let result = run_demo(app, quick);
+    let dropped = result.trace_dropped;
+    let (file, contents) = if chrome {
+        let json = chrome_trace_json(name, &result.trace, dropped, result.total_cycles);
+        (format!("chrome_trace_{name}.json"), json)
+    } else {
+        let lines = result.trace.iter().map(|&(at, tag, e)| e.to_json(at, tag) + "\n").collect();
+        (format!("trace_{name}.jsonl"), lines)
+    };
+    let path = outdir.join(&file);
+    let (events, cycles) = (result.trace.len(), result.total_cycles);
+    match std::fs::write(&path, contents) {
+        Ok(()) => println!("wrote {} ({events} events over {cycles} cycles)", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    }
     if dropped > 0 {
         eprintln!(
             "warning: trace ring dropped {dropped} events for {name}; \
              the dump holds only the timeline tail"
         );
     }
-}
-
-/// `--trace <app>`: dump the demo's event timeline as JSON lines.
-fn dump_trace(app: AppKind, quick: bool, outdir: &Path) -> TraceInfo {
-    let name = app.name();
-    let result = run_demo(app, quick);
-    let dropped = result.trace_dropped;
-    let mut out = String::new();
-    for &(at, tag, ref event) in &result.trace {
-        out.push_str(&event.to_json(at, tag));
-        out.push('\n');
-    }
-    let file = format!("trace_{name}.jsonl");
-    let path = outdir.join(&file);
-    match std::fs::write(&path, &out) {
-        Ok(()) => println!(
-            "wrote {} ({} events over {} cycles)",
-            path.display(),
-            result.trace.len(),
-            result.total_cycles,
-        ),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-    warn_on_drops(name, dropped);
-    TraceInfo {
-        scenario: name,
-        output: file,
-        events: result.trace.len(),
-        dropped,
-        total_cycles: result.total_cycles,
-    }
-}
-
-/// `--chrome-trace <app>`: render the demo's trace ring plus per-PFU
-/// residency timelines as Chrome trace-event JSON.
-fn dump_chrome_trace(app: AppKind, quick: bool, outdir: &Path) -> TraceInfo {
-    let name = app.name();
-    let result = run_demo(app, quick);
-    let dropped = result.trace_dropped;
-    let json = chrome_trace_json(name, &result.trace, dropped, result.total_cycles);
-    let file = format!("chrome_trace_{name}.json");
-    let path = outdir.join(&file);
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!(
-            "wrote {} ({} events over {} cycles)",
-            path.display(),
-            result.trace.len(),
-            result.total_cycles,
-        ),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-    warn_on_drops(name, dropped);
-    TraceInfo {
-        scenario: name,
-        output: file,
-        events: result.trace.len(),
-        dropped,
-        total_cycles: result.total_cycles,
+    object! {
+        "scenario" => name, "output" => file.as_str(), "events" => events,
+        "dropped_events" => dropped, "total_cycles" => cycles,
     }
 }
 
@@ -208,47 +153,41 @@ fn dump_flame(target: RunTarget, scale: &Scale, quick: bool, jobs: usize, outdir
     }
 }
 
-fn metrics_json(m: &PlanMetrics, indent: &str) -> String {
-    format!(
-        "{indent}{{\n\
-         {indent}  \"figure\": \"{}\",\n\
-         {indent}  \"jobs\": {},\n\
-         {indent}  \"workers\": {},\n\
-         {indent}  \"wall_seconds\": {:.6},\n\
-         {indent}  \"job_wall_seconds\": {:.6},\n\
-         {indent}  \"sim_cycles\": {},\n\
-         {indent}  \"sim_cycles_per_host_second\": {:.1}\n\
-         {indent}}}",
-        json_escape(&m.figure),
-        m.jobs,
-        m.workers,
-        m.wall.as_secs_f64(),
-        m.job_wall.as_secs_f64(),
-        m.sim_cycles,
-        m.sim_cycles_per_host_second(),
-    )
+fn metrics_json(m: &PlanMetrics) -> Object {
+    object! {
+        "figure" => m.figure.as_str(), "jobs" => m.jobs, "workers" => m.workers,
+        "wall_seconds" => Fixed(m.wall.as_secs_f64(), 6),
+        "job_wall_seconds" => Fixed(m.job_wall.as_secs_f64(), 6),
+        "sim_cycles" => m.sim_cycles,
+        "sim_cycles_per_host_second" => Fixed(m.sim_cycles_per_host_second(), 1),
+    }
 }
 
 /// Host metadata as a JSON object: the context that makes throughput
 /// numbers comparable across machines and PRs.
-fn host_json(jobs: usize) -> String {
+fn host_json(jobs: usize) -> Object {
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(0);
-    format!(
-        "{{\"rustc\": \"{}\", \"os\": \"{}\", \"arch\": \"{}\", \"logical_cpus\": {cpus}, \"jobs\": {jobs}}}",
-        json_escape(env!("PROTEUS_RUSTC_VERSION")),
-        std::env::consts::OS,
-        std::env::consts::ARCH,
-    )
+    object! {
+        "rustc" => env!("PROTEUS_RUSTC_VERSION"), "os" => std::env::consts::OS,
+        "arch" => std::env::consts::ARCH, "logical_cpus" => cpus, "jobs" => jobs,
+    }
 }
 
-/// Hand-rolled `summary.json` (the workspace carries no JSON
-/// dependency; the schema is small and fixed).
+/// A cycle ledger as category → cycles, plus `total`.
+fn ledger_json(ledger: &CycleLedger) -> Object {
+    CycleLedger::CATEGORIES
+        .iter()
+        .zip(ledger.values())
+        .fold(Object::new(), |obj, (name, value)| obj.field(name, value))
+        .field("total", ledger.total())
+}
+
 /// Largest per-process × per-callsite sinks surfaced in `summary.json`.
 const TOP_SINKS: usize = 5;
 
 fn summary_json(
     metrics: &[PlanMetrics],
-    traces: &[TraceInfo],
+    traces: Array,
     workers: usize,
     quick: bool,
     total_wall_seconds: f64,
@@ -258,62 +197,30 @@ fn summary_json(
     let total_cycles: u64 = metrics.iter().map(|m| m.sim_cycles).sum();
     let throughput =
         if total_wall_seconds > 0.0 { total_cycles as f64 / total_wall_seconds } else { 0.0 };
-    let per_figure: Vec<String> = metrics.iter().map(|m| metrics_json(m, "    ")).collect();
     // Per-experiment and aggregate cycle attribution: the refold of
     // each plan's merged attribution matrix.
     let mut attributed = AttributedLedger::default();
-    let per_figure_breakdown: Vec<String> = metrics
-        .iter()
-        .map(|m| {
-            let ledger = m.attributed.refold();
-            attributed.absorb(&m.attributed);
-            format!("    \"{}\": {}", json_escape(&m.figure), ledger.to_json())
-        })
-        .collect();
-    let trace_entries: Vec<String> =
-        traces.iter().map(|t| format!("    {}", t.to_json())).collect();
-    format!(
-        "{{\n\
-         \x20 \"workers\": {workers},\n\
-         \x20 \"quick\": {quick},\n\
-         \x20 \"host\": {},\n\
-         \x20 \"experiments\": [\n{}\n  ],\n\
-         \x20 \"cycle_breakdown\": {{\n{}{}\
-         \x20   \"aggregate\": {}\n\
-         \x20 }},\n\
-         \x20 \"top_sinks\": {},\n\
-         \x20 \"traces\": [{}],\n\
-         \x20 \"total\": {{\n\
-         \x20   \"jobs\": {total_jobs},\n\
-         \x20   \"wall_seconds\": {total_wall_seconds:.6},\n\
-         \x20   \"job_wall_seconds\": {total_job_wall:.6},\n\
-         \x20   \"sim_cycles\": {total_cycles},\n\
-         \x20   \"sim_cycles_per_host_second\": {throughput:.1}\n\
-         \x20 }}\n\
-         }}\n",
-        host_json(workers),
-        per_figure.join(",\n"),
-        per_figure_breakdown.join(",\n"),
-        if per_figure_breakdown.is_empty() { "" } else { ",\n" },
-        attributed.refold().to_json(),
-        attributed.top_sinks_json(TOP_SINKS),
-        if trace_entries.is_empty() {
-            String::new()
-        } else {
-            format!("\n{}\n  ", trace_entries.join(",\n"))
+    let mut breakdown = Object::new();
+    for m in metrics {
+        attributed.absorb(&m.attributed);
+        breakdown = breakdown.field(&m.figure, ledger_json(&m.attributed.refold()));
+    }
+    let top_sinks = attributed.top_sinks(TOP_SINKS).into_iter().map(|(pid, site, category, n)| {
+        object! { "pid" => pid, "callsite" => site.name(), "category" => category, "cycles" => n }
+    });
+    let summary = object! {
+        "workers" => workers, "quick" => quick, "host" => host_json(workers),
+        "experiments" => metrics.iter().map(metrics_json).collect::<Array>(),
+        "cycle_breakdown" => breakdown.field("aggregate", ledger_json(&attributed.refold())),
+        "top_sinks" => top_sinks.collect::<Array>(),
+        "traces" => traces,
+        "total" => object! {
+            "jobs" => total_jobs, "wall_seconds" => Fixed(total_wall_seconds, 6),
+            "job_wall_seconds" => Fixed(total_job_wall, 6), "sim_cycles" => total_cycles,
+            "sim_cycles_per_host_second" => Fixed(throughput, 1),
         },
-    )
-}
-
-/// Extract the raw token following `"key":` in one of our own
-/// hand-rolled JSON documents (no nesting-aware parsing needed: every
-/// key we look up maps to a scalar on the same line).
-fn json_field<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = doc.find(&pat)? + pat.len();
-    let rest = doc[start..].trim_start();
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
+    };
+    summary.finish() + "\n"
 }
 
 /// The figure the pinned benchmark runs: fig3 is the most
@@ -324,47 +231,71 @@ const BENCH_FIGURE: &str = "fig3";
 /// interpreter throughput, not host parallelism.
 const BENCH_JOBS: usize = 1;
 
-/// A prior benchmark record: `BENCH_<n>.json` parsed just enough to
-/// compare against.
+/// The `BENCH_<n>.json` records in `outdir` as `(n, file name)`, newest
+/// (highest `n`) first. Only the names count: a record that no longer
+/// parses still holds its number, so the numbering stays append-only.
+fn bench_records(outdir: &Path) -> Vec<(u32, String)> {
+    let mut found: Vec<(u32, String)> = std::fs::read_dir(outdir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|entry| {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            let number = name.strip_prefix("BENCH_")?.strip_suffix(".json")?.parse().ok()?;
+            Some((number, name))
+        })
+        .collect();
+    found.sort_by_key(|&(number, _)| std::cmp::Reverse(number));
+    found
+}
+
+/// The number the next record takes: one past the highest on disk.
+fn next_bench_number(records: &[(u32, String)]) -> u32 {
+    records.first().map_or(0, |(n, _)| n + 1)
+}
+
+/// A prior benchmark record parsed just enough to compare against.
 struct PriorBench {
     file: String,
-    number: u32,
     figure: String,
     quick: bool,
     jobs: usize,
     throughput: f64,
 }
 
-/// Scan `outdir` for `BENCH_<n>.json` records, newest (highest `n`)
-/// first.
-fn prior_benches(outdir: &Path) -> Vec<PriorBench> {
-    let mut found: Vec<PriorBench> = Vec::new();
-    let Ok(entries) = std::fs::read_dir(outdir) else {
-        return found;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let Some(number) =
-            name.strip_prefix("BENCH_").and_then(|s| s.strip_suffix(".json")).and_then(|s| s.parse().ok())
-        else {
-            continue;
-        };
-        let Ok(doc) = std::fs::read_to_string(entry.path()) else {
-            continue;
-        };
-        let figure = json_field(&doc, "figure").map(|v| v.trim_matches('"').to_string());
-        let quick = json_field(&doc, "quick").map(|v| v == "true");
-        let jobs = json_field(&doc, "jobs").and_then(|v| v.parse().ok());
-        let throughput =
-            json_field(&doc, "sim_cycles_per_host_second").and_then(|v| v.parse().ok());
-        if let (Some(figure), Some(quick), Some(jobs), Some(throughput)) =
-            (figure, quick, jobs, throughput)
-        {
-            found.push(PriorBench { file: name, number, figure, quick, jobs, throughput });
-        }
+impl PriorBench {
+    /// `None` when any compared field is missing or malformed.
+    fn parse(file: &str, doc: &str) -> Option<Self> {
+        Some(Self {
+            file: file.to_string(),
+            figure: json::field(doc, &["figure"])?.to_string(),
+            quick: json::field(doc, &["quick"])?.parse().ok()?,
+            jobs: json::field(doc, &["jobs"])?.parse().ok()?,
+            throughput: json::field(doc, &["sim_cycles_per_host_second"])?.parse().ok()?,
+        })
     }
-    found.sort_by_key(|b| std::cmp::Reverse(b.number));
-    found
+}
+
+/// The latest record comparable with this run (same figure, scale and
+/// worker count). Records that do not parse are skipped here only.
+fn find_baseline(outdir: &Path, records: &[(u32, String)], quick: bool) -> Option<PriorBench> {
+    records
+        .iter()
+        .filter_map(|(_, file)| {
+            PriorBench::parse(file, &std::fs::read_to_string(outdir.join(file)).ok()?)
+        })
+        .find(|b| b.figure == BENCH_FIGURE && b.quick == quick && b.jobs == BENCH_JOBS)
+}
+
+/// One `BENCH_<n>.json` record.
+fn bench_record(number: u32, quick: bool, m: &PlanMetrics, baseline: Option<Object>) -> String {
+    let record = object! {
+        "bench" => number, "figure" => BENCH_FIGURE, "quick" => quick, "jobs" => BENCH_JOBS,
+        "sim_cycles" => m.sim_cycles, "wall_seconds" => Fixed(m.wall.as_secs_f64(), 6),
+        "sim_cycles_per_host_second" => Fixed(m.sim_cycles_per_host_second(), 1),
+        "host" => host_json(BENCH_JOBS), "baseline" => baseline,
+    };
+    record.finish() + "\n"
 }
 
 /// `repro --bench`: run the pinned benchmark subset on one worker,
@@ -389,51 +320,27 @@ fn run_bench(quick: bool, outdir: &Path) {
         throughput,
     );
 
-    let prior = prior_benches(outdir);
-    let number = prior.first().map_or(0, |b| b.number + 1);
-    let baseline = prior
-        .iter()
-        .find(|b| b.figure == BENCH_FIGURE && b.quick == quick && b.jobs == BENCH_JOBS);
-    let baseline_json = match baseline {
-        Some(b) => {
-            let speedup = if b.throughput > 0.0 { throughput / b.throughput } else { 0.0 };
-            let regression = speedup < 0.8;
-            println!(
-                "bench: vs {} ({:.3e} sim cycles/s): {speedup:.2}x{}",
-                b.file,
-                b.throughput,
-                if regression { "  ** REGRESSION > 20% **" } else { "" },
-            );
-            format!(
-                "{{\n    \"file\": \"{}\",\n    \"sim_cycles_per_host_second\": {:.1},\n    \
-                 \"speedup\": {speedup:.4},\n    \"regression\": {regression}\n  }}",
-                json_escape(&b.file),
-                b.throughput,
-            )
+    let records = bench_records(outdir);
+    let number = next_bench_number(&records);
+    let baseline = find_baseline(outdir, &records, quick).map(|b| {
+        let speedup = if b.throughput > 0.0 { throughput / b.throughput } else { 0.0 };
+        let regression = speedup < 0.8;
+        println!(
+            "bench: vs {} ({:.3e} sim cycles/s): {speedup:.2}x{}",
+            b.file,
+            b.throughput,
+            if regression { "  ** REGRESSION > 20% **" } else { "" },
+        );
+        object! {
+            "file" => b.file.as_str(), "sim_cycles_per_host_second" => Fixed(b.throughput, 1),
+            "speedup" => Fixed(speedup, 4), "regression" => regression,
         }
-        None => {
-            println!("bench: no comparable baseline record in {}", outdir.display());
-            "null".to_string()
-        }
-    };
-    let record = format!(
-        "{{\n\
-         \x20 \"bench\": {number},\n\
-         \x20 \"figure\": \"{BENCH_FIGURE}\",\n\
-         \x20 \"quick\": {quick},\n\
-         \x20 \"jobs\": {BENCH_JOBS},\n\
-         \x20 \"sim_cycles\": {},\n\
-         \x20 \"wall_seconds\": {:.6},\n\
-         \x20 \"sim_cycles_per_host_second\": {throughput:.1},\n\
-         \x20 \"host\": {},\n\
-         \x20 \"baseline\": {baseline_json}\n\
-         }}\n",
-        m.sim_cycles,
-        m.wall.as_secs_f64(),
-        host_json(BENCH_JOBS),
-    );
+    });
+    if baseline.is_none() {
+        println!("bench: no comparable baseline record in {}", outdir.display());
+    }
     let path = outdir.join(format!("BENCH_{number}.json"));
-    match std::fs::write(&path, &record) {
+    match std::fs::write(&path, bench_record(number, quick, &m, baseline)) {
         Ok(()) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
@@ -569,12 +476,12 @@ fn main() {
     }
 
     let t0 = Instant::now();
-    let mut trace_infos: Vec<TraceInfo> = Vec::new();
+    let mut trace_entries = Array::default();
     for app in &traces {
-        trace_infos.push(dump_trace(*app, quick, outdir));
+        trace_entries.push(dump_trace(*app, quick, outdir, false));
     }
     for app in &chrome_traces {
-        trace_infos.push(dump_chrome_trace(*app, quick, outdir));
+        trace_entries.push(dump_trace(*app, quick, outdir, true));
     }
     for target in &flames {
         dump_flame(*target, &scale, quick, jobs, outdir);
@@ -599,11 +506,11 @@ fn main() {
     }
     let total_wall = t0.elapsed().as_secs_f64();
 
-    if !metrics.is_empty() || !trace_infos.is_empty() {
+    if !metrics.is_empty() || !traces.is_empty() || !chrome_traces.is_empty() {
         // Report the effective worker count (the runner clamps to each
         // plan's job count), not the raw `--jobs` request.
         let effective_workers = metrics.iter().map(|m| m.workers).max().unwrap_or(1);
-        let summary = summary_json(&metrics, &trace_infos, effective_workers, quick, total_wall);
+        let summary = summary_json(&metrics, trace_entries, effective_workers, quick, total_wall);
         let summary_path = outdir.join("summary.json");
         match std::fs::write(&summary_path, &summary) {
             Ok(()) => println!("wrote {}", summary_path.display()),
@@ -611,4 +518,95 @@ fn main() {
         }
     }
     println!("done in {total_wall:.1}s with {jobs} worker(s) (scale: {scale:?})");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    use std::time::Duration;
+
+    use proteus::series::BreakdownSet;
+
+    fn metrics(sim_cycles: u64, wall: Duration) -> PlanMetrics {
+        PlanMetrics {
+            figure: BENCH_FIGURE.to_string(),
+            jobs: 48,
+            workers: BENCH_JOBS,
+            wall,
+            job_wall: wall,
+            sim_cycles,
+            breakdown: BreakdownSet::new(BENCH_FIGURE),
+            attributed: AttributedLedger::default(),
+        }
+    }
+
+    /// A scratch directory unique to one test.
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("repro-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        dir
+    }
+
+    #[test]
+    fn bench_record_round_trips_through_the_reader() {
+        let baseline = Object::new()
+            .field("file", "BENCH_6.json")
+            .field("sim_cycles_per_host_second", Fixed(1.5e8, 1))
+            .field("speedup", Fixed(0.5, 4))
+            .field("regression", true);
+        let record =
+            bench_record(7, true, &metrics(300_000_000, Duration::from_secs(4)), Some(baseline));
+        assert!(record.ends_with("}\n") && !record.trim_end().contains('\n'), "{record}");
+        assert_eq!(json::field(&record, &["bench"]), Some("7"));
+        assert_eq!(json::field(&record, &["jobs"]), Some("1"));
+        assert_eq!(json::field(&record, &["host", "jobs"]), Some("1"));
+        assert_eq!(json::field(&record, &["sim_cycles_per_host_second"]), Some("75000000.0"));
+        assert_eq!(
+            json::field(&record, &["baseline", "sim_cycles_per_host_second"]),
+            Some("150000000.0")
+        );
+        assert_eq!(json::field(&record, &["baseline", "regression"]), Some("true"));
+        let prior = PriorBench::parse("BENCH_7.json", &record).expect("own record parses");
+        assert_eq!(
+            (prior.figure.as_str(), prior.quick, prior.jobs),
+            (BENCH_FIGURE, true, BENCH_JOBS)
+        );
+        assert_eq!(prior.throughput.to_bits(), 75_000_000.0f64.to_bits());
+
+        // No baseline renders as null, and the record still parses.
+        let record = bench_record(0, false, &metrics(10, Duration::from_secs(1)), None);
+        assert_eq!(json::field(&record, &["baseline"]), Some("null"));
+        assert!(PriorBench::parse("BENCH_0.json", &record).is_some());
+    }
+
+    #[test]
+    fn committed_pretty_printed_record_still_parses() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_4.json");
+        let doc = std::fs::read_to_string(path).expect("committed BENCH_4.json");
+        let b = PriorBench::parse("BENCH_4.json", &doc).expect("BENCH_4.json parses");
+        assert_eq!((b.figure.as_str(), b.quick, b.jobs), ("fig3", false, 1));
+        assert_eq!(b.throughput.to_bits(), 117_468_186.8f64.to_bits());
+    }
+
+    #[test]
+    fn unparseable_newest_record_keeps_its_number() {
+        let dir = scratch_dir("bench-numbering");
+        let good = bench_record(0, true, &metrics(10, Duration::from_secs(1)), None);
+        std::fs::write(dir.join("BENCH_0.json"), good).expect("write");
+        let truncated = r#"{"bench": 1, "figure": "fig3""#;
+        std::fs::write(dir.join("BENCH_1.json"), truncated).expect("write");
+        std::fs::write(dir.join("BENCH_x.json"), "{}").expect("write");
+        std::fs::write(dir.join("notes.txt"), "").expect("write");
+        let records = bench_records(&dir);
+        assert_eq!(records, vec![(1, "BENCH_1.json".to_string()), (0, "BENCH_0.json".to_string())]);
+        // The next run takes number 2; the malformed record is only
+        // skipped when searching for a baseline.
+        assert_eq!(next_bench_number(&records), 2);
+        let baseline = find_baseline(&dir, &records, true).expect("BENCH_0 is comparable");
+        assert_eq!(baseline.file, "BENCH_0.json");
+        assert!(find_baseline(&dir, &records, false).is_none(), "scale must match");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -297,9 +297,11 @@ fn event_trace_orders_the_management_story() {
     // Two processes fighting over one PFU must show evictions in the
     // timeline, and every fault precedes some resolution event.
     assert!(events.iter().any(|(_, _, e)| matches!(e, Event::Eviction { .. })));
-    let text = machine.kernel().trace().to_text();
-    assert!(text.contains("load (1, 0)"));
-    assert!(text.contains("exit"));
+    let first_key = proteus_rfu::TupleKey::new(1, 0);
+    assert!(
+        events.iter().any(|(_, _, e)| matches!(e, Event::ConfigLoad { key, .. } if *key == first_key)),
+        "pid 1's circuit 0 is loaded"
+    );
 }
 
 /// Guest console output works through the kernel syscall layer.

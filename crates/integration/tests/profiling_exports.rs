@@ -4,8 +4,10 @@
 //! trace-event JSON is structurally sound and complete enough for
 //! `trace_viewer` (metadata tracks, X/i phases, drop accounting).
 
+use std::collections::BTreeSet;
+
 use porsche::chrome::chrome_trace_json;
-use porsche::probe::{Callsite, CycleLedger};
+use porsche::probe::{Callsite, CycleLedger, Event, PfuFaultKind, Tag};
 use proteus::experiment::{
     demo_scenario, fig3_plan, plan_for, resolve_target, RunTarget, Scale, EXPERIMENTS,
 };
@@ -114,6 +116,56 @@ fn chrome_trace_schema_is_sane() {
     assert!(json.contains(&format!("\"total_cycles\":{}", result.total_cycles)));
     // Events carry their attribution callsite.
     assert!(json.contains("\"callsite\":\"reconfig\""));
+}
+
+/// One fixture per `Event` variant: every kind is distinct, and every
+/// rendering — timeline line and Chrome slice — is sound JSON that
+/// names the event by its kind.
+#[test]
+fn every_event_variant_renders_through_the_one_schema() {
+    let key = proteus_rfu::TupleKey::new(3, 1);
+    let fixtures = [
+        Event::Spawn { pid: 3 },
+        Event::ContextSwitch { from: None, to: 3, cost: 220 },
+        Event::TimerTick { pid: 3, cost: 60 },
+        Event::Fault { key, cost: 120 },
+        Event::MappingRepair { key },
+        Event::TlbProgram { key, soft: true, evicted: false, cost: 12 },
+        Event::ConfigLoad { key, pfu: 0 },
+        Event::Eviction { key, pfu: 0 },
+        Event::StateSwap { key, pfu: 1 },
+        Event::SoftwareInstall { key },
+        Event::BusTransfer { words: 100, cost: 164 },
+        Event::Syscall { pid: 3, number: 2, cost: 40 },
+        Event::Compute { pid: 3, user: 7, custom: 2, soft: 1, hw_dispatches: 1, sw_dispatches: 1 },
+        Event::Idle { cycles: 50 },
+        Event::Exit { pid: 3, code: 0 },
+        Event::Kill { pid: 3 },
+        Event::SeuStrike { pfu: 1 },
+        Event::PfuFault { key, pfu: 1, kind: PfuFaultKind::CrcMismatch, cost: 250 },
+        Event::ScrubCheck { pfu: 1, corrupt: true, cost: 30 },
+        Event::RecoveryRetry { key, pfu: 1, attempt: 2, words: 13_500, cost: 13_600 },
+        Event::SoftwareFailover { key, pfu: 1, cost: 12 },
+        Event::Quarantine { pfu: 1 },
+    ];
+    let kinds: BTreeSet<&str> = fixtures.iter().map(Event::kind).collect();
+    assert_eq!(kinds.len(), fixtures.len(), "kinds are distinct");
+    let tag = Tag::new(3, Callsite::FaultRungs);
+    for (at, event) in fixtures.iter().enumerate() {
+        let line = event.to_json(at as u64, tag);
+        assert_balanced_json(&line);
+        assert!(line.contains(&format!("\"kind\":\"{}\"", event.kind())), "{line}");
+        assert!(!line.contains('\n'), "one line per event: {line}");
+    }
+    let events: Vec<(u64, Tag, Event)> =
+        fixtures.iter().enumerate().map(|(at, &e)| (at as u64 * 10, tag, e)).collect();
+    let json = chrome_trace_json("all \"kinds\"\n", &events, 0, 1_000);
+    assert_balanced_json(&json);
+    assert!(json.contains(r#""scenario":"all \"kinds\"\u000a""#), "{json}");
+    assert!(
+        json.contains(r#""name":"tlb_program","cat":"fault_rungs","ph":"X","ts":50,"dur":12,"pid":3,"tid":0,"args":{"callsite":"fault_rungs","pid":3,"cid":1,"soft":true,"evicted":false,"cost":12}"#),
+        "software TLB programming is a tlb_program slice with soft in its args: {json}"
+    );
 }
 
 /// The shared resolver accepts every registry experiment and every demo

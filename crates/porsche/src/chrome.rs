@@ -10,12 +10,16 @@
 //! `ts`/`dur` microsecond fields unscaled — the viewer's time axis
 //! reads directly in cycles.
 //!
-//! Hand-rolled JSON, like every other exporter in the workspace: the
-//! simulator carries no serialization dependency.
+//! A process-track slice is the event's timeline line in another
+//! shape: its name is [`Event::kind`] and its args are the callsite
+//! plus [`Event::fields`].
 
-use std::collections::BTreeSet;
-use std::fmt::Write as _;
+use std::collections::{BTreeMap, BTreeSet};
 
+use proteus_rfu::TupleKey;
+
+use crate::json::{Array, Object};
+use crate::object;
 use crate::probe::{Event, Tag};
 use crate::process::Pid;
 
@@ -23,53 +27,85 @@ use crate::process::Pid;
 /// pids are small (they start at 1), so this cannot collide.
 const RFU_TRACK: u64 = 1_000_000;
 
-fn push_complete(
-    out: &mut String,
-    name: &str,
-    cat: &str,
-    ts: u64,
-    dur: u64,
-    (pid, tid): (u64, u64),
-    args: &str,
-) {
-    let _ = write!(
-        out,
-        ",\n{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\
-         \"pid\":{pid},\"tid\":{tid},\"args\":{{{args}}}}}"
-    );
-}
-
-fn push_instant(out: &mut String, name: &str, cat: &str, ts: u64, pid: u64, tid: u64, args: &str) {
-    let _ = write!(
-        out,
-        ",\n{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\
-         \"pid\":{pid},\"tid\":{tid},\"args\":{{{args}}}}}"
-    );
-}
-
-fn push_meta(out: &mut String, meta: &str, pid: u64, tid: u64, value: &str) {
-    let _ = write!(
-        out,
-        ",\n{{\"name\":\"{meta}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-         \"args\":{{\"name\":\"{value}\"}}}}"
-    );
-}
-
-/// Escape a string for inclusion in a JSON string literal: quotes,
-/// backslashes and control characters.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// A complete ("X") slice on track `(pid, tid)`.
+fn complete(name: &str, cat: &str, ts: u64, dur: u64, track: (u64, u64), args: Object) -> Object {
+    object! {
+        "name" => name, "cat" => cat, "ph" => "X", "ts" => ts, "dur" => dur,
+        "pid" => track.0, "tid" => track.1, "args" => args,
     }
-    out
+}
+
+/// A thread-scoped instant ("i") on track `(pid, tid)`.
+fn instant(name: &str, cat: &str, ts: u64, track: (u64, u64), args: Object) -> Object {
+    object! {
+        "name" => name, "cat" => cat, "ph" => "i", "s" => "t", "ts" => ts,
+        "pid" => track.0, "tid" => track.1, "args" => args,
+    }
+}
+
+/// A track-naming metadata ("M") record.
+fn meta(meta: &str, track: (u64, u64), value: &str) -> Object {
+    let args = object! { "name" => value };
+    object! { "name" => meta, "ph" => "M", "pid" => track.0, "tid" => track.1, "args" => args }
+}
+
+/// How an event shows on its beneficiary's process track.
+enum Mark {
+    /// Cost-carrying work: a complete slice.
+    Slice { ts: u64, dur: u64 },
+    /// A zero-cost lifecycle marker.
+    Instant,
+}
+
+/// The process-track mark of an event stamped at `at`; `None` for the
+/// markers drawn only on PFU tracks.
+fn process_mark(at: u64, event: &Event) -> Option<Mark> {
+    match *event {
+        Event::ContextSwitch { cost, .. }
+        | Event::TimerTick { cost, .. }
+        | Event::Fault { cost, .. }
+        | Event::TlbProgram { cost, .. }
+        | Event::BusTransfer { cost, .. }
+        | Event::Syscall { cost, .. }
+        | Event::PfuFault { cost, .. }
+        | Event::ScrubCheck { cost, .. }
+        | Event::RecoveryRetry { cost, .. }
+        | Event::SoftwareFailover { cost, .. }
+        | Event::Idle { cycles: cost } => Some(Mark::Slice { ts: at, dur: cost }),
+        // Compute events are stamped at span end; rewind so the slice
+        // covers the cycles it accounts for.
+        Event::Compute { user, custom, soft, .. } => {
+            let span = user + custom + soft;
+            Some(Mark::Slice { ts: at.saturating_sub(span), dur: span })
+        }
+        Event::Spawn { .. } | Event::Exit { .. } | Event::Kill { .. } => Some(Mark::Instant),
+        Event::MappingRepair { .. } | Event::SoftwareInstall { .. } => Some(Mark::Instant),
+        Event::ConfigLoad { .. } | Event::Eviction { .. } | Event::StateSwap { .. } => None,
+        Event::SeuStrike { .. } | Event::Quarantine { .. } => None,
+    }
+}
+
+/// The Chrome track of PFU slot `pfu`.
+fn pfu_track(pfu: usize) -> (u64, u64) {
+    (RFU_TRACK, pfu as u64)
+}
+
+/// What occupies a PFU slot, and since when.
+struct Residency {
+    label: String,
+    since: u64,
+}
+
+impl Residency {
+    fn loaded(key: TupleKey, at: u64) -> Self {
+        Self { label: format!("pid{} cid{}", key.pid, key.cid), since: at }
+    }
+
+    /// The residency window on `pfu`'s track, closed at `until`.
+    fn slice(&self, pfu: usize, until: u64) -> Object {
+        let dur = until.saturating_sub(self.since);
+        complete(&self.label, "resident", self.since, dur, pfu_track(pfu), Object::new())
+    }
 }
 
 /// Render a trace snapshot as one Chrome trace-event JSON document.
@@ -85,7 +121,7 @@ pub fn chrome_trace_json(
     dropped: u64,
     total_cycles: u64,
 ) -> String {
-    let mut body = String::new();
+    let mut out = Array::default();
     let window_start = events.first().map_or(0, |&(at, _, _)| at);
 
     // Which simulated processes and PFU slots need tracks.
@@ -112,183 +148,68 @@ pub fn chrome_trace_json(
     // Metadata: track names.
     for &pid in &pids {
         let name = if pid == 0 { "kernel".to_string() } else { format!("pid {pid}") };
-        push_meta(&mut body, "process_name", u64::from(pid), 0, &name);
+        out.push(meta("process_name", (u64::from(pid), 0), &name));
     }
     if !pfus.is_empty() {
-        push_meta(&mut body, "process_name", RFU_TRACK, 0, "RFU");
+        out.push(meta("process_name", (RFU_TRACK, 0), "RFU"));
         for &pfu in &pfus {
-            push_meta(&mut body, "thread_name", RFU_TRACK, pfu as u64, &format!("PFU {pfu}"));
+            out.push(meta("thread_name", pfu_track(pfu), &format!("PFU {pfu}")));
         }
     }
 
-    // Per-PFU residency/quarantine reconstruction state: what occupies
-    // each slot and since when.
-    let mut resident: Vec<(usize, TagKeyed)> = Vec::new();
-    struct TagKeyed {
-        label: String,
-        since: u64,
-    }
-    let close_residency = |body: &mut String, resident: &mut Vec<(usize, TagKeyed)>,
-                           pfu: usize, at: u64| {
-        if let Some(i) = resident.iter().position(|(p, _)| *p == pfu) {
-            let (_, r) = resident.swap_remove(i);
-            push_complete(
-                body,
-                &r.label,
-                "resident",
-                r.since,
-                at.saturating_sub(r.since),
-                (RFU_TRACK, pfu as u64),
-                "",
-            );
-        }
-    };
+    // Per-PFU residency/quarantine reconstruction state.
+    let mut resident: BTreeMap<usize, Residency> = BTreeMap::new();
 
     for &(at, tag, ref event) in events {
-        let pid = u64::from(tag.pid);
         let site = tag.callsite.name();
-        let args = format!("\"callsite\":\"{site}\"");
+        if let Some(mark) = process_mark(at, event) {
+            let track = (u64::from(tag.pid), 0);
+            let args = event.fields(Object::new().field("callsite", site));
+            out.push(match mark {
+                Mark::Slice { ts, dur } => complete(event.kind(), site, ts, dur, track, args),
+                Mark::Instant => instant(event.kind(), site, at, track, args),
+            });
+        }
         match *event {
-            // Cost-carrying work: complete ("X") slices on the
-            // beneficiary process's track.
-            Event::ContextSwitch { cost, .. } => {
-                push_complete(&mut body, "context_switch", site, at, cost, (pid, 0), &args);
-            }
-            Event::TimerTick { cost, .. } => {
-                push_complete(&mut body, "timer_tick", site, at, cost, (pid, 0), &args);
-            }
-            Event::Fault { cost, .. } => {
-                push_complete(&mut body, "fault", site, at, cost, (pid, 0), &args);
-            }
-            Event::TlbProgram { soft, cost, .. } => {
-                let name = if soft { "tlb_program_sw" } else { "tlb_program" };
-                push_complete(&mut body, name, site, at, cost, (pid, 0), &args);
-            }
-            Event::BusTransfer { words, cost } => {
-                let args = format!("{args},\"words\":{words}");
-                push_complete(&mut body, "bus_transfer", site, at, cost, (pid, 0), &args);
-            }
-            Event::Syscall { number, cost, .. } => {
-                let args = format!("{args},\"number\":{number}");
-                push_complete(&mut body, "syscall", site, at, cost, (pid, 0), &args);
-            }
-            // Compute events are stamped at span end; rewind so the
-            // slice covers the cycles it accounts for.
-            Event::Compute { user, custom, soft, .. } => {
-                let span = user + custom + soft;
-                let args = format!("{args},\"user\":{user},\"custom\":{custom},\"soft\":{soft}");
-                push_complete(
-                    &mut body,
-                    "compute",
-                    site,
-                    at.saturating_sub(span),
-                    span,
-                    (pid, 0),
-                    &args,
-                );
-            }
-            Event::Idle { cycles } => {
-                push_complete(&mut body, "idle", site, at, cycles, (pid, 0), &args);
-            }
-            Event::PfuFault { pfu, kind, cost, .. } => {
-                let args = format!("{args},\"pfu\":{pfu},\"fault\":\"{}\"", kind.name());
-                push_complete(&mut body, "pfu_fault", site, at, cost, (pid, 0), &args);
-                push_instant(&mut body, "pfu_fault", "fault", at, RFU_TRACK, pfu as u64, "");
-            }
-            Event::ScrubCheck { pfu, corrupt, cost } => {
-                let args = format!("{args},\"pfu\":{pfu},\"corrupt\":{corrupt}");
-                push_complete(&mut body, "scrub_check", site, at, cost, (pid, 0), &args);
-            }
-            Event::RecoveryRetry { pfu, attempt, cost, .. } => {
-                let args = format!("{args},\"pfu\":{pfu},\"attempt\":{attempt}");
-                push_complete(&mut body, "recovery_retry", site, at, cost, (pid, 0), &args);
-            }
-            Event::SoftwareFailover { pfu, cost, .. } => {
-                let args = format!("{args},\"pfu\":{pfu}");
-                push_complete(&mut body, "software_failover", site, at, cost, (pid, 0), &args);
-            }
-            // Zero-cost lifecycle markers: instants on the process track.
-            Event::Spawn { .. } => {
-                push_instant(&mut body, "spawn", site, at, pid, 0, &args);
-            }
-            Event::Exit { code, .. } => {
-                let args = format!("{args},\"code\":{code}");
-                push_instant(&mut body, "exit", site, at, pid, 0, &args);
-            }
-            Event::Kill { .. } => {
-                push_instant(&mut body, "kill", site, at, pid, 0, &args);
-            }
-            Event::MappingRepair { .. } => {
-                push_instant(&mut body, "mapping_repair", site, at, pid, 0, &args);
-            }
-            Event::SoftwareInstall { .. } => {
-                push_instant(&mut body, "software_install", site, at, pid, 0, &args);
-            }
-            Event::SeuStrike { pfu } => {
-                push_instant(&mut body, "seu_strike", "fault", at, RFU_TRACK, pfu as u64, "");
+            Event::PfuFault { pfu, .. } | Event::SeuStrike { pfu } => {
+                out.push(instant(event.kind(), "fault", at, pfu_track(pfu), Object::new()));
             }
             // Residency bookkeeping: loads open a window on the PFU
             // track, evictions/swaps close it. A window whose opening
             // fell off the ring buffer starts at the retained window's
             // first timestamp.
-            Event::ConfigLoad { key, pfu } => {
-                close_residency(&mut body, &mut resident, pfu, at);
-                resident.push((
-                    pfu,
-                    TagKeyed { label: format!("pid{} cid{}", key.pid, key.cid), since: at },
-                ));
+            Event::ConfigLoad { key, pfu } | Event::StateSwap { key, pfu } => {
+                if let Some(r) = resident.insert(pfu, Residency::loaded(key, at)) {
+                    out.push(r.slice(pfu, at));
+                }
             }
             Event::Eviction { pfu, .. } => {
-                if !resident.iter().any(|(p, _)| *p == pfu) {
-                    resident.push((
-                        pfu,
-                        TagKeyed { label: "resident (pre-window)".to_string(), since: window_start },
-                    ));
-                }
-                close_residency(&mut body, &mut resident, pfu, at);
-            }
-            Event::StateSwap { key, pfu } => {
-                close_residency(&mut body, &mut resident, pfu, at);
-                resident.push((
-                    pfu,
-                    TagKeyed { label: format!("pid{} cid{}", key.pid, key.cid), since: at },
-                ));
+                let r = resident.remove(&pfu).unwrap_or_else(|| Residency {
+                    label: "resident (pre-window)".to_string(),
+                    since: window_start,
+                });
+                out.push(r.slice(pfu, at));
             }
             Event::Quarantine { pfu } => {
-                close_residency(&mut body, &mut resident, pfu, at);
-                push_complete(
-                    &mut body,
-                    "quarantined",
-                    "fault",
-                    at,
-                    total_cycles.saturating_sub(at),
-                    (RFU_TRACK, pfu as u64),
-                    "",
-                );
+                if let Some(r) = resident.remove(&pfu) {
+                    out.push(r.slice(pfu, at));
+                }
+                let dur = total_cycles.saturating_sub(at);
+                out.push(complete("quarantined", "fault", at, dur, pfu_track(pfu), Object::new()));
             }
+            _ => {}
         }
     }
     // Close residency windows still open at the end of the run.
-    resident.sort_by_key(|(pfu, _)| *pfu);
-    for (pfu, r) in resident {
-        push_complete(
-            &mut body,
-            &r.label,
-            "resident",
-            r.since,
-            total_cycles.saturating_sub(r.since),
-            (RFU_TRACK, pfu as u64),
-            "",
-        );
+    for (&pfu, r) in &resident {
+        out.push(r.slice(pfu, total_cycles));
     }
 
-    let events_json = body.strip_prefix(',').unwrap_or(&body);
-    format!(
-        "{{\"traceEvents\":[{events_json}\n],\"displayTimeUnit\":\"ms\",\
-         \"otherData\":{{\"scenario\":\"{}\",\"clock\":\"simulated cycles (unscaled in ts/dur)\",\
-         \"total_cycles\":{total_cycles},\"dropped_events\":{dropped}}}}}",
-        escape(scenario)
-    )
+    let other = object! {
+        "scenario" => scenario, "clock" => "simulated cycles (unscaled in ts/dur)",
+        "total_cycles" => total_cycles, "dropped_events" => dropped,
+    };
+    object! { "traceEvents" => out, "displayTimeUnit" => "ms", "otherData" => other }.finish()
 }
 
 #[cfg(test)]

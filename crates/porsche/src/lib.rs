@@ -31,7 +31,10 @@
 //! * [`probe`] — the unified instrumentation bus: every management
 //!   action emits a typed [`probe::Event`] at the point of action, and
 //!   [`stats::KernelStats`], [`trace::Trace`] and
-//!   [`probe::CycleLedger`] are pure folds over that one stream.
+//!   [`probe::CycleLedger`] are pure folds over that one stream;
+//! * [`json`] — the one JSON writer behind every export (timeline
+//!   lines, Chrome traces, run summaries), plus a reader for its own
+//!   records.
 //!
 //! # Example
 //!
@@ -60,6 +63,7 @@ pub mod chrome;
 pub mod cis;
 pub mod costs;
 pub mod fault;
+pub mod json;
 pub mod kernel;
 pub mod policy;
 pub mod probe;

@@ -28,6 +28,8 @@ use std::fmt;
 
 use proteus_rfu::TupleKey;
 
+use crate::json::Object;
+use crate::object;
 use crate::process::Pid;
 use crate::stats::KernelStats;
 use crate::trace::Trace;
@@ -249,138 +251,91 @@ impl PfuFaultKind {
     }
 }
 
-impl fmt::Display for Event {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Event {
+    /// Stable snake_case name: the `kind` of a `--trace` JSON line and
+    /// the name of the event's Chrome process-track slice.
+    pub fn kind(&self) -> &'static str {
         match self {
-            Event::Spawn { pid } => write!(f, "spawn pid={pid}"),
-            Event::ContextSwitch { from: Some(p), to, .. } => write!(f, "switch {p} -> {to}"),
-            Event::ContextSwitch { from: None, to, .. } => write!(f, "dispatch -> {to}"),
-            Event::TimerTick { pid, .. } => write!(f, "tick pid={pid}"),
-            Event::Fault { key, .. } => write!(f, "fault ({}, {})", key.pid, key.cid),
-            Event::MappingRepair { key } => write!(f, "tlb-repair ({}, {})", key.pid, key.cid),
-            Event::TlbProgram { key, soft, evicted, .. } => write!(
-                f,
-                "tlb-program{} ({}, {}){}",
-                if *soft { "[sw]" } else { "" },
-                key.pid,
-                key.cid,
-                if *evicted { " +evict" } else { "" }
-            ),
-            Event::ConfigLoad { key, pfu } => {
-                write!(f, "load ({}, {}) -> pfu={pfu}", key.pid, key.cid)
-            }
-            Event::Eviction { key, pfu } => {
-                write!(f, "evict ({}, {}) <- pfu={pfu}", key.pid, key.cid)
-            }
-            Event::StateSwap { key, pfu } => {
-                write!(f, "state-swap ({}, {}) pfu={pfu}", key.pid, key.cid)
-            }
-            Event::SoftwareInstall { key } => write!(f, "soft-map ({}, {})", key.pid, key.cid),
-            Event::BusTransfer { words, .. } => write!(f, "bus {words}w"),
-            Event::Syscall { pid, number, .. } => write!(f, "swi pid={pid} #{number}"),
-            Event::Compute { pid, user, custom, soft, .. } => {
-                write!(f, "compute pid={pid} user={user} custom={custom} soft={soft}")
-            }
-            Event::Idle { cycles } => write!(f, "idle {cycles}"),
-            Event::Exit { pid, code } => write!(f, "exit pid={pid} code={code}"),
-            Event::Kill { pid } => write!(f, "kill pid={pid}"),
-            Event::SeuStrike { pfu } => write!(f, "seu pfu={pfu}"),
-            Event::PfuFault { key, pfu, kind, .. } => {
-                write!(f, "pfu-fault[{}] pfu={pfu} ({}, {})", kind.name(), key.pid, key.cid)
-            }
-            Event::ScrubCheck { pfu, corrupt, .. } => {
-                write!(f, "scrub pfu={pfu}{}", if *corrupt { " corrupt" } else { " clean" })
-            }
-            Event::RecoveryRetry { key, pfu, attempt, .. } => {
-                write!(f, "retry#{attempt} pfu={pfu} ({}, {})", key.pid, key.cid)
-            }
-            Event::SoftwareFailover { key, pfu, .. } => {
-                write!(f, "failover pfu={pfu} ({}, {})", key.pid, key.cid)
-            }
-            Event::Quarantine { pfu } => write!(f, "quarantine pfu={pfu}"),
+            Event::Spawn { .. } => "spawn",
+            Event::ContextSwitch { .. } => "context_switch",
+            Event::TimerTick { .. } => "timer_tick",
+            Event::Fault { .. } => "fault",
+            Event::MappingRepair { .. } => "mapping_repair",
+            Event::TlbProgram { .. } => "tlb_program",
+            Event::ConfigLoad { .. } => "config_load",
+            Event::Eviction { .. } => "eviction",
+            Event::StateSwap { .. } => "state_swap",
+            Event::SoftwareInstall { .. } => "software_install",
+            Event::BusTransfer { .. } => "bus_transfer",
+            Event::Syscall { .. } => "syscall",
+            Event::Compute { .. } => "compute",
+            Event::Idle { .. } => "idle",
+            Event::Exit { .. } => "exit",
+            Event::Kill { .. } => "kill",
+            Event::SeuStrike { .. } => "seu_strike",
+            Event::PfuFault { .. } => "pfu_fault",
+            Event::ScrubCheck { .. } => "scrub_check",
+            Event::RecoveryRetry { .. } => "recovery_retry",
+            Event::SoftwareFailover { .. } => "software_failover",
+            Event::Quarantine { .. } => "quarantine",
         }
     }
-}
 
-impl Event {
-    /// Render as one JSON object (hand-rolled; the workspace carries no
-    /// serialization dependency) for the `repro --trace` timeline dump.
-    /// `tag` records the attribution: `by` is the process the work was
-    /// done for (0 = kernel housekeeping) and `callsite` the emitting
-    /// kernel path.
-    pub fn to_json(&self, at: u64, tag: Tag) -> String {
-        fn key_fields(key: &TupleKey) -> String {
-            format!("\"pid\":{},\"cid\":{}", key.pid, key.cid)
-        }
-        let body = match self {
-            Event::Spawn { pid } => format!("\"kind\":\"spawn\",\"pid\":{pid}"),
+    /// The event's schema: append its fields, in export order, to `obj`.
+    /// Every JSON rendering of an event (timeline lines, Chrome slice
+    /// args) goes through this one table.
+    pub fn fields(&self, obj: Object) -> Object {
+        let tuple = |obj: Object, key: TupleKey| obj.field("pid", key.pid).field("cid", key.cid);
+        match *self {
+            Event::Spawn { pid } | Event::Kill { pid } => obj.field("pid", pid),
             Event::ContextSwitch { from, to, cost } => {
-                let from = from.map_or("null".to_string(), |p| p.to_string());
-                format!("\"kind\":\"context_switch\",\"from\":{from},\"to\":{to},\"cost\":{cost}")
+                obj.field("from", from).field("to", to).field("cost", cost)
             }
-            Event::TimerTick { pid, cost } => {
-                format!("\"kind\":\"timer_tick\",\"pid\":{pid},\"cost\":{cost}")
+            Event::TimerTick { pid, cost } => obj.field("pid", pid).field("cost", cost),
+            Event::Fault { key, cost } => tuple(obj, key).field("cost", cost),
+            Event::MappingRepair { key } | Event::SoftwareInstall { key } => tuple(obj, key),
+            Event::TlbProgram { key, soft, evicted, cost } => {
+                tuple(obj, key).field("soft", soft).field("evicted", evicted).field("cost", cost)
             }
-            Event::Fault { key, cost } => {
-                format!("\"kind\":\"fault\",{},\"cost\":{cost}", key_fields(key))
-            }
-            Event::MappingRepair { key } => {
-                format!("\"kind\":\"mapping_repair\",{}", key_fields(key))
-            }
-            Event::TlbProgram { key, soft, evicted, cost } => format!(
-                "\"kind\":\"tlb_program\",{},\"soft\":{soft},\"evicted\":{evicted},\"cost\":{cost}",
-                key_fields(key)
-            ),
-            Event::ConfigLoad { key, pfu } => {
-                format!("\"kind\":\"config_load\",{},\"pfu\":{pfu}", key_fields(key))
-            }
-            Event::Eviction { key, pfu } => {
-                format!("\"kind\":\"eviction\",{},\"pfu\":{pfu}", key_fields(key))
-            }
-            Event::StateSwap { key, pfu } => {
-                format!("\"kind\":\"state_swap\",{},\"pfu\":{pfu}", key_fields(key))
-            }
-            Event::SoftwareInstall { key } => {
-                format!("\"kind\":\"software_install\",{}", key_fields(key))
-            }
-            Event::BusTransfer { words, cost } => {
-                format!("\"kind\":\"bus_transfer\",\"words\":{words},\"cost\":{cost}")
-            }
+            Event::ConfigLoad { key, pfu }
+            | Event::Eviction { key, pfu }
+            | Event::StateSwap { key, pfu } => tuple(obj, key).field("pfu", pfu),
+            Event::BusTransfer { words, cost } => obj.field("words", words).field("cost", cost),
             Event::Syscall { pid, number, cost } => {
-                format!("\"kind\":\"syscall\",\"pid\":{pid},\"number\":{number},\"cost\":{cost}")
+                obj.field("pid", pid).field("number", number).field("cost", cost)
             }
-            Event::Compute { pid, user, custom, soft, hw_dispatches, sw_dispatches } => format!(
-                "\"kind\":\"compute\",\"pid\":{pid},\"user\":{user},\"custom\":{custom},\
-                 \"soft\":{soft},\"hw_dispatches\":{hw_dispatches},\"sw_dispatches\":{sw_dispatches}"
-            ),
-            Event::Idle { cycles } => format!("\"kind\":\"idle\",\"cycles\":{cycles}"),
-            Event::Exit { pid, code } => format!("\"kind\":\"exit\",\"pid\":{pid},\"code\":{code}"),
-            Event::Kill { pid } => format!("\"kind\":\"kill\",\"pid\":{pid}"),
-            Event::SeuStrike { pfu } => format!("\"kind\":\"seu_strike\",\"pfu\":{pfu}"),
-            Event::PfuFault { key, pfu, kind, cost } => format!(
-                "\"kind\":\"pfu_fault\",{},\"pfu\":{pfu},\"fault\":\"{}\",\"cost\":{cost}",
-                key_fields(key),
-                kind.name()
-            ),
-            Event::ScrubCheck { pfu, corrupt, cost } => format!(
-                "\"kind\":\"scrub_check\",\"pfu\":{pfu},\"corrupt\":{corrupt},\"cost\":{cost}"
-            ),
-            Event::RecoveryRetry { key, pfu, attempt, words, cost } => format!(
-                "\"kind\":\"recovery_retry\",{},\"pfu\":{pfu},\"attempt\":{attempt},\
-                 \"words\":{words},\"cost\":{cost}",
-                key_fields(key)
-            ),
-            Event::SoftwareFailover { key, pfu, cost } => format!(
-                "\"kind\":\"software_failover\",{},\"pfu\":{pfu},\"cost\":{cost}",
-                key_fields(key)
-            ),
-            Event::Quarantine { pfu } => format!("\"kind\":\"quarantine\",\"pfu\":{pfu}"),
-        };
-        format!(
-            "{{\"cycle\":{at},\"by\":{},\"callsite\":\"{}\",{body}}}",
-            tag.pid,
-            tag.callsite.name()
-        )
+            Event::Compute { pid, user, custom, soft, hw_dispatches, sw_dispatches } => {
+                let obj = obj.field("pid", pid).field("user", user).field("custom", custom);
+                let obj = obj.field("soft", soft).field("hw_dispatches", hw_dispatches);
+                obj.field("sw_dispatches", sw_dispatches)
+            }
+            Event::Idle { cycles } => obj.field("cycles", cycles),
+            Event::Exit { pid, code } => obj.field("pid", pid).field("code", code),
+            Event::SeuStrike { pfu } | Event::Quarantine { pfu } => obj.field("pfu", pfu),
+            Event::PfuFault { key, pfu, kind, cost } => {
+                tuple(obj, key).field("pfu", pfu).field("fault", kind.name()).field("cost", cost)
+            }
+            Event::ScrubCheck { pfu, corrupt, cost } => {
+                obj.field("pfu", pfu).field("corrupt", corrupt).field("cost", cost)
+            }
+            Event::RecoveryRetry { key, pfu, attempt, words, cost } => {
+                let obj = tuple(obj, key).field("pfu", pfu).field("attempt", attempt);
+                obj.field("words", words).field("cost", cost)
+            }
+            Event::SoftwareFailover { key, pfu, cost } => {
+                tuple(obj, key).field("pfu", pfu).field("cost", cost)
+            }
+        }
+    }
+
+    /// Render as one JSON line of the `repro --trace` timeline dump:
+    /// the cycle, the attribution tag (`by` is the process the work was
+    /// done for, 0 = kernel housekeeping; `callsite` the emitting kernel
+    /// path), the [`Event::kind`] and the event's [`Event::fields`].
+    pub fn to_json(&self, at: u64, tag: Tag) -> String {
+        let (by, site) = (tag.pid, tag.callsite.name());
+        let head = object! { "cycle" => at, "by" => by, "callsite" => site, "kind" => self.kind() };
+        self.fields(head).finish()
     }
 }
 
@@ -584,16 +539,6 @@ impl CycleLedger {
         self.fault_recovery += other.fault_recovery;
         self.idle += other.idle;
     }
-
-    /// Render as a JSON object (category → cycles, plus `total`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (name, value) in Self::CATEGORIES.iter().zip(self.values()) {
-            out.push_str(&format!("\"{name}\":{value},"));
-        }
-        out.push_str(&format!("\"total\":{}}}", self.total()));
-        out
-    }
 }
 
 impl EventSink for CycleLedger {
@@ -722,24 +667,6 @@ impl AttributedLedger {
         flat.sort_by(|a, b| b.3.cmp(&a.3).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
         flat.truncate(k);
         flat
-    }
-
-    /// Render as a JSON array of the top-`k` sinks (for
-    /// `summary.json`).
-    pub fn top_sinks_json(&self, k: usize) -> String {
-        let mut out = String::from("[");
-        for (i, (pid, callsite, category, cycles)) in self.top_sinks(k).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"pid\":{pid},\"callsite\":\"{}\",\"category\":\"{category}\",\
-                 \"cycles\":{cycles}}}",
-                callsite.name()
-            ));
-        }
-        out.push(']');
-        out
     }
 }
 
@@ -964,9 +891,6 @@ mod tests {
         let top = probe.attributed().top_sinks(2);
         assert_eq!(top[0], (2, Callsite::Compute, "user_compute", 500));
         assert_eq!(top[1], (2, Callsite::TlbMiss, "fault_handling", 120));
-        let json = probe.attributed().top_sinks_json(2);
-        assert!(json.starts_with('[') && json.ends_with(']'), "{json}");
-        assert!(json.contains("\"callsite\":\"compute\""), "{json}");
     }
 
     #[test]
@@ -1000,10 +924,10 @@ mod tests {
 
     #[test]
     fn spans_reach_extra_sinks_as_events() {
-        struct Seen(std::sync::mpsc::Sender<String>);
+        struct Seen(std::sync::mpsc::Sender<Event>);
         impl EventSink for Seen {
             fn on_event(&mut self, _at: u64, _tag: Tag, event: &Event) {
-                let _ = self.0.send(event.to_string());
+                let _ = self.0.send(*event);
             }
         }
         let (tx, rx) = std::sync::mpsc::channel();
@@ -1011,8 +935,14 @@ mod tests {
         probe.add_sink(Box::new(Seen(tx)));
         probe.compute_span(10, 1, 7, 2, 1, 0, 0);
         probe.emit(60, Tag::kernel(Callsite::Idle), Event::Idle { cycles: 50 });
-        let seen: Vec<String> = rx.try_iter().collect();
-        assert_eq!(seen, vec!["compute pid=1 user=7 custom=2 soft=1", "idle 50"]);
+        let seen: Vec<Event> = rx.try_iter().collect();
+        assert_eq!(
+            seen,
+            vec![
+                Event::Compute { pid: 1, user: 7, custom: 2, soft: 1, hw_dispatches: 0, sw_dispatches: 0 },
+                Event::Idle { cycles: 50 },
+            ]
+        );
     }
 
     #[test]
@@ -1044,6 +974,5 @@ mod tests {
         let j = Event::ContextSwitch { from: None, to: 2, cost: 220 }
             .to_json(7, Tag::new(2, Callsite::ContextSwitch));
         assert!(j.contains("\"from\":null"));
-        assert!(CycleLedger::default().to_json().contains("\"total\":0"));
     }
 }

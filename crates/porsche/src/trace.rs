@@ -73,15 +73,6 @@ impl Trace {
     pub fn snapshot(&self) -> Vec<(u64, Tag, Event)> {
         self.iter().collect()
     }
-
-    /// Render as one line per event.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for (cycle, _, e) in &self.events {
-            out.push_str(&format!("{cycle:>12} {e}\n"));
-        }
-        out
-    }
 }
 
 impl EventSink for Trace {
@@ -110,17 +101,5 @@ mod tests {
         assert!(t.enabled());
         assert!(!Trace::with_capacity(0).enabled());
         assert_eq!(Trace::with_capacity(0).dropped(), 0);
-    }
-
-    #[test]
-    fn text_rendering_is_one_line_per_event() {
-        let mut t = Trace::with_capacity(8);
-        let tag = Tag::new(1, Callsite::ContextSwitch);
-        t.record(10, tag, Event::Spawn { pid: 1 });
-        t.record(20, tag, Event::Exit { pid: 1, code: 0 });
-        let text = t.to_text();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.contains("spawn pid=1"));
-        assert!(text.contains("exit pid=1"));
     }
 }

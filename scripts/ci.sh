@@ -75,6 +75,9 @@ cargo run --release -p proteus-bench --bin repro -- \
 test -s "$serial_dir/chrome_trace_alpha.json" \
     || { echo "missing chrome_trace_alpha.json" >&2; exit 1; }
 grep -q '"traceEvents"' "$serial_dir/chrome_trace_alpha.json"
-echo "folded profile byte-identical across job counts and matches the golden"
+# The Chrome export is deterministic too: pin the whole quick-scale
+# alpha document (tracks, slice names and args, residency windows).
+diff scripts/golden/chrome_trace_alpha_quick.json "$serial_dir/chrome_trace_alpha.json"
+echo "folded profile byte-identical across job counts and matches the golden; Chrome trace matches the golden"
 
 echo "== ci.sh OK =="
