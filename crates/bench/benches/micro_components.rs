@@ -142,6 +142,28 @@ fn bench_dispatch(c: &mut Criterion) {
             cpu.cycles()
         })
     });
+
+    // The same guest with only TLB2 mapped, to its `sw_blend` software
+    // alternative: every pixel takes the software-dispatch lane (issue,
+    // handler body with `ldop`/`stres`, `retsd`).
+    let sw_blend = spec.program().symbol("sw_blend").expect("the alpha guest defines sw_blend");
+    c.bench_function("cpu/soft_handler_loop_rfu", |b| {
+        b.iter(|| {
+            let mut mem = Memory::new(64 * 1024);
+            mem.load_program(spec.program()).expect("load");
+            let mut cpu = Cpu::new();
+            cpu.set_reg(13, 64 * 1024);
+            cpu.set_pc(entry);
+            let mut rfu = Rfu::new(RfuConfig::default());
+            rfu.tlb_sw_mut().insert(0, TupleKey::new(1, 0), sw_blend);
+            rfu.write_reg(15, 1);
+            let stop = cpu.run(&mut mem, &mut rfu, u64::MAX);
+            assert_eq!(stop, Stop::Swi { imm: 0 });
+            assert_eq!(cpu.reg(0), spec.expected_checksum());
+            assert_eq!(rfu.take_dispatch_counters().hw_dispatches, 0);
+            cpu.cycles()
+        })
+    });
 }
 
 fn bench_kernel(c: &mut Criterion) {

@@ -1,29 +1,38 @@
 //! Interpreter throughput probe: times synthetic instruction mixes
-//! through the real `Cpu::run` loop and reports host-nanoseconds per
-//! simulated cycle. Complements the tracked `repro --bench` harness
-//! when attributing interpreter-level regressions — each mix isolates
-//! one corner of the hot path (ALU, flags+branch, memory, cond-fail).
+//! through the compiled-op lane (`Cpu::run`) and through the stepped
+//! reference lane (`Cpu::run_stepped`) and reports host-nanoseconds per
+//! simulated cycle for each, side by side. Complements the tracked
+//! `repro --bench` harness when attributing interpreter-level
+//! regressions — each mix isolates one corner of the hot path (ALU,
+//! flags+branch, memory, block transfers, cond-fail).
 //!
 //! Run with: `cargo run --release -p proteus-cpu --example interp_perf`
 
-use proteus_cpu::{Cpu, Memory, NullCoprocessor};
+use proteus_cpu::{Cpu, Memory, NullCoprocessor, Stop};
 use proteus_isa::assemble;
 use std::time::Instant;
+
+/// Host nanoseconds per simulated cycle for one lane over `until` cycles.
+fn ns_per_cycle(mem: &Memory, until: u64, lane: fn(&mut Cpu, &mut Memory, u64) -> Stop) -> f64 {
+    let mut mem = mem.clone();
+    let mut cpu = Cpu::new();
+    cpu.set_reg(13, 60 * 1024);
+    let t = Instant::now();
+    lane(&mut cpu, &mut mem, until);
+    t.elapsed().as_secs_f64() * 1e9 / cpu.cycles() as f64
+}
 
 fn time_program(name: &str, src: &str, until: u64) {
     let p = assemble(src).unwrap();
     let mut mem = Memory::new(64 * 1024);
     mem.load_program(&p).unwrap();
-    let mut cpu = Cpu::new();
-    cpu.set_reg(13, 60 * 1024);
-    let t = Instant::now();
-    let _stop = cpu.run(&mut mem, &mut NullCoprocessor, until);
-    let dt = t.elapsed().as_secs_f64();
+    let run = ns_per_cycle(&mem, until, |cpu, mem, until| cpu.run(mem, &mut NullCoprocessor, until));
+    let stepped =
+        ns_per_cycle(&mem, until, |cpu, mem, until| cpu.run_stepped(mem, &mut NullCoprocessor, until));
     println!(
-        "{name:24} {:>12} cycles in {dt:>8.4}s = {:>6.2} ns/cycle, {:.3e} c/s",
-        cpu.cycles(),
-        dt * 1e9 / cpu.cycles() as f64,
-        cpu.cycles() as f64 / dt
+        "{name:16} {until:>12} cycles: run {run:>6.2} ns/cycle ({:.3e} c/s), run_stepped {stepped:>6.2} ns/cycle, {:.2}x",
+        1e9 / run,
+        stepped / run
     );
 }
 
@@ -40,6 +49,9 @@ fn main() {
     time_program("flags_branch", "loop: subs r1, r1, #1\n bne loop\n b loop\n", n);
     // Load/store traffic through the bounds-checked memory port.
     time_program("ldr_str", "mov r0, #4096\nloop: ldr r2, [r0]\n str r2, [r0, #4]\n b loop\n", n);
+    // Block transfers: the push/pop pair every software-dispatch
+    // handler wraps its body in.
+    time_program("push_pop", "loop: push {r0-r11}\n pop {r0-r11}\n push {r0-r3}\n pop {r0-r3}\n b loop\n", n);
     // Condition-failed instructions: fetch+skip only.
     time_program(
         "cond_fail",

@@ -1,10 +1,11 @@
 //! The fetch/decode/execute loop with ARM7-class cycle accounting.
 
-use proteus_isa::{BlockOp, Instr, MemOp, Reg};
+use proteus_isa::{decode, BlockOp, Cond, Instr, MemOp, Reg};
 
 use crate::alu::{self, Cpsr};
 use crate::coproc::{CoprocResult, Coprocessor};
 use crate::memory::{MemError, Memory};
+use crate::op::Op;
 
 /// Why [`Cpu::run`] returned. The kernel model dispatches on this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,6 +197,19 @@ impl Cpu {
         self.cycles += n;
     }
 
+    /// Register `i` (`0..15`, never the PC) for the compiled-op lane.
+    #[inline(always)]
+    fn r(&self, i: u8) -> u32 {
+        self.regs[usize::from(i) & 15]
+    }
+
+    /// Write register `i` (`0..15`, never the PC) for the compiled-op
+    /// lane.
+    #[inline(always)]
+    fn set_r(&mut self, i: u8, value: u32) {
+        self.regs[usize::from(i) & 15] = value;
+    }
+
     /// Run until `until_cycle` is reached or an exception stops execution.
     ///
     /// The caller (kernel model) owns exception handling: on
@@ -203,14 +217,277 @@ impl Cpu {
     /// [`Stop::Undefined`] / [`Stop::MemFault`] it has not, and on
     /// [`Stop::Quantum`] execution may simply be resumed later.
     ///
-    /// The quantum bound is the only per-instruction check: the kernel
-    /// computes the span's stop cycle once and passes it down, so the
-    /// loop compares a single counter against a constant.
+    /// This is the compiled-op lane: each word runs as the [`Op`] its
+    /// [`Memory`] compiled on first execution. The PC and the cycle count
+    /// live in locals, and each op costs one dispatch and one check
+    /// against the span's stop cycle, which the kernel computes once.
+    /// State goes back to `self` only on a stop and around the
+    /// out-of-line reference lane ([`Cpu::step`] and its execute body),
+    /// which runs the ops the loop does not specialise ([`Op::Generic`],
+    /// [`Op::Fetch`]). [`Cpu::run_stepped`] loops over `step` alone: the
+    /// referee the tests hold this lane to.
     ///
     /// Generic over the port, so a concrete coprocessor (the kernel's
     /// `Rfu`) is called directly rather than through a vtable on every
     /// custom issue; `&mut dyn Coprocessor` still works.
     pub fn run<C: Coprocessor + ?Sized>(
+        &mut self,
+        mem: &mut Memory,
+        coproc: &mut C,
+        until_cycle: u64,
+    ) -> Stop {
+        let mut pc = self.regs[15];
+        let mut cycles = self.cycles;
+        // While `soft_depth > 0`, the cycles since `soft_since` ran inside
+        // a software-dispatch handler and are not yet in the mix: one
+        // subtraction per handler entry, exit and stop instead of one per
+        // instruction (the attribution `run_stepped` makes per step).
+        let mut soft_since = cycles;
+        let stop = 'run: loop {
+            if cycles >= until_cycle {
+                break Stop::Quantum;
+            }
+            match mem.op(pc) {
+                Op::DpImm { op, rd, rn, imm } => {
+                    cycles += cost::DP;
+                    let (value, writes_rd) = alu::exec_dp_value(op, self.r(rn), imm, self.cpsr.c);
+                    if writes_rd {
+                        self.set_r(rd, value);
+                    }
+                }
+                Op::DpImmS { op, rd, rn, imm, carry } => {
+                    cycles += cost::DP;
+                    let shifter_carry = carry.unwrap_or(self.cpsr.c);
+                    let r = alu::exec_dp(op, self.r(rn), imm, shifter_carry, self.cpsr);
+                    self.cpsr = r.flags;
+                    if r.writes_rd {
+                        self.set_r(rd, r.value);
+                    }
+                }
+                Op::DpReg { op, rd, rn, rm, shift } => {
+                    cycles += cost::DP;
+                    let (op2, _) = alu::barrel_shift(self.r(rm), shift, self.cpsr.c);
+                    let (value, writes_rd) = alu::exec_dp_value(op, self.r(rn), op2, self.cpsr.c);
+                    if writes_rd {
+                        self.set_r(rd, value);
+                    }
+                }
+                Op::DpRegS { op, rd, rn, rm, shift } => {
+                    cycles += cost::DP;
+                    let (op2, shifter_carry) = alu::barrel_shift(self.r(rm), shift, self.cpsr.c);
+                    let r = alu::exec_dp(op, self.r(rn), op2, shifter_carry, self.cpsr);
+                    self.cpsr = r.flags;
+                    if r.writes_rd {
+                        self.set_r(rd, r.value);
+                    }
+                }
+                Op::Mul { s, rd, rm, rs, acc } => {
+                    let mut v = self.r(rm).wrapping_mul(self.r(rs));
+                    cycles += match acc {
+                        Some(rn) => {
+                            v = v.wrapping_add(self.r(rn));
+                            cost::MLA
+                        }
+                        None => cost::MUL,
+                    };
+                    self.set_r(rd, v);
+                    if s {
+                        self.cpsr.n = v >> 31 == 1;
+                        self.cpsr.z = v == 0;
+                    }
+                }
+                Op::Ldr { byte, rd, rn, delta, pre, writeback } => {
+                    cycles += cost::LDR;
+                    let base = self.r(rn);
+                    let offsetted = base.wrapping_add(delta);
+                    let addr = if pre { offsetted } else { base };
+                    let loaded = if byte { mem.read_byte(addr).map(u32::from) } else { mem.read_word(addr) };
+                    match loaded {
+                        Ok(v) => {
+                            if writeback {
+                                self.set_r(rn, offsetted);
+                            }
+                            self.set_r(rd, v);
+                        }
+                        Err(err) => break Stop::MemFault { err, pc },
+                    }
+                }
+                Op::Str { byte, rd, rn, delta, pre, writeback } => {
+                    cycles += cost::STR;
+                    let base = self.r(rn);
+                    let offsetted = base.wrapping_add(delta);
+                    let addr = if pre { offsetted } else { base };
+                    let v = self.r(rd);
+                    let stored =
+                        if byte { mem.write_byte(addr, (v & 0xFF) as u8) } else { mem.write_word(addr, v) };
+                    if let Err(err) = stored {
+                        break Stop::MemFault { err, pc };
+                    }
+                    if writeback {
+                        self.set_r(rn, offsetted);
+                    }
+                }
+                Op::LdrLit { rd, addr } => {
+                    cycles += cost::LDR;
+                    match mem.read_word(addr) {
+                        Ok(v) => self.set_r(rd, v),
+                        Err(err) => break Stop::MemFault { err, pc },
+                    }
+                }
+                Op::Ldm { rn, regs, start, end, writeback } => {
+                    let base = self.r(rn);
+                    let mut addr = base.wrapping_add(start);
+                    let mut list = regs;
+                    while list != 0 {
+                        match mem.read_word(addr) {
+                            Ok(v) => self.set_r(list.trailing_zeros() as u8, v),
+                            Err(err) => break 'run Stop::MemFault { err, pc },
+                        }
+                        list &= list - 1;
+                        addr = addr.wrapping_add(4);
+                    }
+                    cycles += cost::LDM_BASE + u64::from(regs.count_ones());
+                    if writeback {
+                        self.set_r(rn, base.wrapping_add(end));
+                    }
+                }
+                Op::Stm { rn, regs, start, end, writeback } => {
+                    let base = self.r(rn);
+                    let mut addr = base.wrapping_add(start);
+                    let mut list = regs;
+                    while list != 0 {
+                        if let Err(err) = mem.write_word(addr, self.r(list.trailing_zeros() as u8)) {
+                            break 'run Stop::MemFault { err, pc };
+                        }
+                        list &= list - 1;
+                        addr = addr.wrapping_add(4);
+                    }
+                    cycles += cost::STM_BASE + u64::from(regs.count_ones());
+                    if writeback {
+                        self.set_r(rn, base.wrapping_add(end));
+                    }
+                }
+                Op::Branch { cond, link, target } => {
+                    let c = self.cpsr;
+                    if cond == Cond::Al || cond.passes(c.n, c.z, c.c, c.v) {
+                        if link {
+                            self.regs[14] = pc.wrapping_add(4);
+                        }
+                        cycles += cost::BRANCH_TAKEN;
+                        pc = target;
+                        continue;
+                    }
+                    cycles += cost::COND_FAIL;
+                }
+                Op::Pfu { cid, rd, rn, rm } => {
+                    // `exec`'s custom-issue arm, attribution included.
+                    cycles += cost::PFU_ISSUE;
+                    let next_pc = pc.wrapping_add(4);
+                    let budget = until_cycle.saturating_sub(cycles);
+                    let pid = coproc.read_reg(15);
+                    match coproc.exec_custom(pid, cid, self.r(rn), self.r(rm), rd, next_pc, budget) {
+                        CoprocResult::Done { value, cycles: n } => {
+                            cycles += n;
+                            if self.soft_depth == 0 {
+                                self.mix.custom += n;
+                            }
+                            self.set_r(rd, value);
+                        }
+                        CoprocResult::Interrupted { cycles: n } => {
+                            cycles += n;
+                            if self.soft_depth == 0 {
+                                self.mix.custom += n;
+                            }
+                            break Stop::Quantum;
+                        }
+                        CoprocResult::SoftwareDispatch { target, cycles: n } => {
+                            cycles += n + cost::BRANCH_TAKEN;
+                            if self.soft_depth == 0 {
+                                self.mix.soft_dispatch += cost::PFU_ISSUE + n + cost::BRANCH_TAKEN;
+                                soft_since = cycles;
+                            }
+                            self.soft_depth += 1;
+                            self.regs[14] = next_pc;
+                            pc = target;
+                            continue;
+                        }
+                        CoprocResult::Fault => break Stop::CustomFault { cid, pc },
+                    }
+                }
+                Op::LdOp { rd, sel } => {
+                    cycles += cost::CP_MOVE;
+                    self.set_r(rd, coproc.read_operand(sel));
+                }
+                Op::StRes { rs } => {
+                    cycles += cost::CP_MOVE;
+                    coproc.write_result(self.r(rs));
+                }
+                Op::RetSd => {
+                    cycles += cost::RETSD;
+                    if self.soft_depth > 0 {
+                        self.soft_depth -= 1;
+                        if self.soft_depth == 0 {
+                            self.mix.soft_dispatch += cycles - soft_since;
+                        }
+                    }
+                    let info = coproc.return_from_software();
+                    self.regs[usize::from(info.rd) & 0xF] = info.result;
+                    pc = info.ret_addr;
+                    continue;
+                }
+                Op::Empty => {
+                    mem.compile(pc);
+                    continue;
+                }
+                op @ (Op::Generic { .. } | Op::Fetch) => {
+                    // `exec`'s condition test, inline: a failed condition
+                    // costs one cycle and no call.
+                    if let Op::Generic { word, instr } = op {
+                        let c = self.cpsr;
+                        if word >> 28 != Cond::Al as u32 && !instr.cond().passes(c.n, c.z, c.c, c.v) {
+                            cycles += cost::COND_FAIL;
+                            pc = pc.wrapping_add(4);
+                            continue;
+                        }
+                    }
+                    let depth = self.soft_depth;
+                    self.regs[15] = pc;
+                    self.cycles = cycles;
+                    let stop = match op {
+                        Op::Generic { word, instr } => self.exec(mem, coproc, until_cycle, pc, word, instr),
+                        _ => self.step(mem, coproc, until_cycle),
+                    };
+                    pc = self.regs[15];
+                    cycles = self.cycles;
+                    // An instruction that starts inside a handler is
+                    // handler time; `exec` attributes the issue that
+                    // enters one.
+                    match (depth > 0, self.soft_depth > 0) {
+                        (false, true) => soft_since = cycles,
+                        (true, false) => self.mix.soft_dispatch += cycles - soft_since,
+                        _ => {}
+                    }
+                    if let Some(stop) = stop {
+                        break stop;
+                    }
+                    continue;
+                }
+            }
+            pc = pc.wrapping_add(4);
+        };
+        self.regs[15] = pc;
+        self.cycles = cycles;
+        if self.soft_depth > 0 {
+            self.mix.soft_dispatch += cycles - soft_since;
+        }
+        stop
+    }
+
+    /// [`Cpu::run`]'s contract, met by stepping the uncached reference
+    /// lane one instruction at a time. The referee for the compiled-op
+    /// lane: tests require both to agree at every stop, and nothing else
+    /// calls it.
+    pub fn run_stepped<C: Coprocessor + ?Sized>(
         &mut self,
         mem: &mut Memory,
         coproc: &mut C,
@@ -222,7 +499,7 @@ impl Cpu {
             }
             // Any instruction executed inside a software-dispatch
             // handler is soft-dispatch time (the dispatching issue
-            // itself is attributed by the dispatch arm in `step`, the
+            // itself is attributed by the dispatch arm in `exec`, the
             // closing `retsd` by this wrapper).
             let stop = if self.soft_depth > 0 {
                 let span_start = self.cycles;
@@ -238,12 +515,10 @@ impl Cpu {
         }
     }
 
-    /// Execute one instruction. Returns `Some(stop)` if it raised an
-    /// exception (see [`Cpu::run`] for PC conventions).
-    ///
-    /// Force-inlined into [`Cpu::run`]: the per-instruction call and the
-    /// `Option<Stop>` return shuffle are measurable at interpreter speed.
-    #[inline(always)]
+    /// Execute one instruction through the reference lane: read the word
+    /// at the PC, decode it, run it, with no cache involved. Returns
+    /// `Some(stop)` if it raised an exception (see [`Cpu::run`] for PC
+    /// conventions).
     pub fn step<C: Coprocessor + ?Sized>(
         &mut self,
         mem: &mut Memory,
@@ -251,21 +526,34 @@ impl Cpu {
         until_cycle: u64,
     ) -> Option<Stop> {
         let pc = self.regs[15];
-        // Infallible icache-hit lane: dense program text hits here with
-        // no `Result`/`Option` juggling; first decodes, undefined words
-        // and fetch faults all take the cold fallback.
-        let (word, instr) = match mem.cached_instr(pc) {
-            Some(entry) => entry,
-            None => match mem.fetch_instr(pc) {
-                Ok((word, Some(i))) => (word, i),
-                Ok((word, None)) => return Some(Stop::Undefined { word, pc }),
-                Err(err) => return Some(Stop::MemFault { err, pc }),
-            },
+        let word = match mem.read_word(pc) {
+            Ok(word) => word,
+            Err(err) => return Some(Stop::MemFault { err, pc }),
         };
+        match decode(word) {
+            Ok(instr) => self.exec(mem, coproc, until_cycle, pc, word, instr),
+            Err(_) => Some(Stop::Undefined { word, pc }),
+        }
+    }
+
+    /// The reference execute body: run the decoded `instr` (encoded as
+    /// `word`) at `pc` against `self`, including the PC. Out of line, so
+    /// [`Cpu::run`]'s loop keeps its locals in registers around the call.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn exec<C: Coprocessor + ?Sized>(
+        &mut self,
+        mem: &mut Memory,
+        coproc: &mut C,
+        until_cycle: u64,
+        pc: u32,
+        word: u32,
+        instr: Instr,
+    ) -> Option<Stop> {
         // The condition field is bits 31..28 of every encoding, so the
         // raw word answers "unconditional?" (almost always yes) with a
         // shift — no re-extraction from the decoded form, no flag loads.
-        if word >> 28 != proteus_isa::Cond::Al as u32
+        if word >> 28 != Cond::Al as u32
             && !instr.cond().passes(self.cpsr.n, self.cpsr.z, self.cpsr.c, self.cpsr.v)
         {
             self.charge(cost::COND_FAIL);
@@ -456,8 +744,8 @@ impl Cpu {
                         if self.soft_depth == 0 {
                             // Entering a handler from user code: the
                             // dispatching issue is soft-dispatch time.
-                            // (Nested dispatches are covered by the
-                            // `run` wrapper.)
+                            // (Nested dispatches are handler time
+                            // already: see `run_stepped`.)
                             self.mix.soft_dispatch +=
                                 cost::PFU_ISSUE + cycles + cost::BRANCH_TAKEN;
                         }
@@ -535,6 +823,28 @@ mod tests {
         let stop = cpu.run(&mut mem, &mut NullCoprocessor, 10_000_000);
         assert!(matches!(stop, Stop::Swi { imm: 0 }), "unexpected stop {stop:?}");
         (cpu, mem)
+    }
+
+    /// Run `cpu` over `mem` through the compiled lane and through the
+    /// stepped referee with the same budget; both must reach the same
+    /// stop in the same state. Returns the compiled lane's result.
+    fn lanes_agree(cpu: &Cpu, mem: &Memory, until: u64) -> (Stop, Cpu, Memory) {
+        let (mut fast, mut fast_mem) = (cpu.clone(), mem.clone());
+        let (mut slow, mut slow_mem) = (cpu.clone(), mem.clone());
+        let stop = fast.run(&mut fast_mem, &mut NullCoprocessor, until);
+        assert_eq!(stop, slow.run_stepped(&mut slow_mem, &mut NullCoprocessor, until), "until {until}");
+        assert_eq!(fast.save_context(), slow.save_context(), "until {until}");
+        assert_eq!(fast.cycles(), slow.cycles(), "until {until}");
+        assert_eq!(fast.exec_mix(), slow.exec_mix(), "until {until}");
+        assert!(fast_mem == slow_mem, "memory differs, until {until}");
+        (stop, fast, fast_mem)
+    }
+
+    fn loaded(src: &str, size: u32) -> Memory {
+        let p = assemble(src).unwrap_or_else(|e| panic!("{e}"));
+        let mut mem = Memory::new(size);
+        mem.load_program(&p).expect("load");
+        mem
     }
 
     #[test]
@@ -641,9 +951,9 @@ mod tests {
 
     #[test]
     fn self_modifying_code_sees_the_new_instruction() {
-        // Execute `target` once (priming the decode cache), store a new
-        // encoding over it, then re-execute: the store must invalidate
-        // the cached entry so the patched instruction runs.
+        // Execute `target` once (compiling its op), store a new encoding
+        // over it, then re-execute: the store must reset the op so the
+        // patched instruction runs.
         let (cpu, _) = run_asm(
             "mov r0, #0\n\
              b start\n\
@@ -704,5 +1014,101 @@ mod tests {
              swi #0\n",
         );
         assert_eq!((cpu.reg(0), cpu.reg(1), cpu.reg(2)), (1, 2, 3));
+    }
+
+    #[test]
+    fn quantum_boundary_at_every_cycle_offset() {
+        // One straight-line run over ops of every cost, including a
+        // generic condition-failed op and a taken branch: a budget ending
+        // at any cycle inside it stops where the referee does, and the
+        // run resumes to the same end.
+        let mem = loaded(
+            "ldr r0, =buf\n mov r1, #7\n mul r2, r1, r1\n mla r3, r2, r1, r1\n\
+             str r2, [r0], #4\n push {r0-r3}\n pop {r4-r7}\n adds r8, r4, r5, lsl #1\n\
+             cmp r8, #0\n addeq r9, r9, #1\n bne next\n mov r10, #1\n\
+             next: ldrb r11, [r0, #-4]\n swi #0\n buf: .space 16\n",
+            1024,
+        );
+        let mut cpu = Cpu::new();
+        cpu.set_reg(13, 1024);
+        let t0 = 100;
+        cpu.add_cycles(t0);
+        let (stop, end, _) = lanes_agree(&cpu, &mem, u64::MAX);
+        assert_eq!(stop, Stop::Swi { imm: 0 });
+        let total = end.cycles() - t0;
+        assert_eq!(total, 3 + 1 + 4 + 5 + 2 + 5 + 6 + 1 + 1 + 1 + 3 + 3 + 3);
+        for k in 0..=total {
+            let (stop, mid, mid_mem) = lanes_agree(&cpu, &mem, t0 + k);
+            // Only the closing `swi` (3 cycles) may start before the
+            // budget ends and finish past it.
+            let (stop, done) = match stop {
+                Stop::Quantum => {
+                    assert!(k < total - 2 && mid.cycles() >= t0 + k, "k = {k}");
+                    let (stop, done, _) = lanes_agree(&mid, &mid_mem, u64::MAX);
+                    (stop, done)
+                }
+                stop => (stop, mid),
+            };
+            assert_eq!(stop, Stop::Swi { imm: 0 });
+            assert_eq!(done.save_context(), end.save_context(), "k = {k}");
+            assert_eq!(done.cycles(), end.cycles(), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn store_into_the_next_word_takes_effect_on_the_next_instruction() {
+        // The first pass compiles `target` as `mov r0, #1`; the second
+        // pass stores `mov r0, #2` over it from the word right before it.
+        let mem = loaded(
+            "ldr r2, =target\n ldr r1, [r2]\n ldr r4, =patch\n ldr r4, [r4]\n\
+             again: add r5, r5, #1\n cmp r5, #2\n moveq r1, r4\n\
+             str r1, [r2]\n target: mov r0, #1\n add r6, r6, r0\n\
+             cmp r5, #2\n bne again\n swi #0\n patch: mov r0, #2\n",
+            1024,
+        );
+        let (stop, cpu, _) = lanes_agree(&Cpu::new(), &mem, u64::MAX);
+        assert_eq!(stop, Stop::Swi { imm: 0 });
+        assert_eq!(cpu.reg(6), 1 + 2, "the patched word must run on the second pass");
+    }
+
+    #[test]
+    fn fetch_faults_report_the_faulting_pc() {
+        // An undecodable word stops as undefined, on first execution and
+        // again once its slot is compiled.
+        let mut mem = loaded("mov r0, #1\n mov r1, #2\n", 1024);
+        mem.write_word(8, 0xFFFF_FFFF).expect("write");
+        let (stop, mut cpu, mem) = lanes_agree(&Cpu::new(), &mem, u64::MAX);
+        assert_eq!(stop, Stop::Undefined { word: 0xFFFF_FFFF, pc: 8 });
+        assert_eq!(cpu.pc(), 8);
+        cpu.set_pc(0);
+        let (stop, _, _) = lanes_agree(&cpu, &mem, u64::MAX);
+        assert_eq!(stop, Stop::Undefined { word: 0xFFFF_FFFF, pc: 8 });
+        // Jumps to an unaligned and to an out-of-range PC fault at the
+        // target.
+        let mem = loaded("mov pc, #6\n", 1024);
+        let (stop, cpu, _) = lanes_agree(&Cpu::new(), &mem, u64::MAX);
+        assert_eq!(stop, Stop::MemFault { err: MemError::Unaligned { addr: 6 }, pc: 6 });
+        assert_eq!(cpu.pc(), 6);
+        let mem = loaded("mov pc, #0x10000\n", 1024);
+        let (stop, _, _) = lanes_agree(&Cpu::new(), &mem, u64::MAX);
+        let err = MemError::OutOfRange { addr: 0x10000, size: 1024 };
+        assert_eq!(stop, Stop::MemFault { err, pc: 0x10000 });
+    }
+
+    #[test]
+    fn code_beyond_the_op_array_runs_through_the_reference_fetch() {
+        // Past the first MiB no op slot exists: every word is fetched and
+        // decoded by `step`, with the same results.
+        let mem = loaded(
+            ".org 0x100000\n start: mov r0, #0\n mov r1, #10\n\
+             loop: add r0, r0, r1\n subs r1, r1, #1\n bne loop\n swi #0\n",
+            0x10_0000 + 1024,
+        );
+        let mut cpu = Cpu::new();
+        cpu.set_pc(0x10_0000);
+        let (stop, cpu, mem) = lanes_agree(&cpu, &mem, u64::MAX);
+        assert_eq!(stop, Stop::Swi { imm: 0 });
+        assert_eq!(cpu.reg(0), 55);
+        assert_eq!(mem.op(0x10_0000), crate::op::Op::Fetch);
     }
 }

@@ -10,7 +10,8 @@
 //!   SWI, faults) so an external kernel model can drive scheduling;
 //! * [`memory::Memory`] — a flat byte-addressable memory (one per
 //!   process; the paper's workstation MMU is replaced by private address
-//!   spaces, see DESIGN.md);
+//!   spaces, see DESIGN.md) carrying one compiled [`op::Op`] per word of
+//!   program text;
 //! * [`coproc::Coprocessor`] — the interface the reconfigurable function
 //!   unit plugs into, including interruptible multi-cycle custom
 //!   instructions (§4.4) and software-dispatch operand latching (§4.3).
@@ -39,6 +40,7 @@ pub mod alu;
 pub mod coproc;
 pub mod cpu;
 pub mod memory;
+pub mod op;
 
 pub use coproc::{CoprocResult, Coprocessor, NullCoprocessor, RetInfo};
 pub use cpu::{Cpu, ExecMix, Stop};

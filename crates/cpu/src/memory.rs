@@ -7,11 +7,13 @@
 use std::error::Error;
 use std::fmt;
 
-use proteus_isa::{decode, Instr, Program};
+use proteus_isa::{decode, Program};
 
-/// Words of low memory covered by the instruction-decode cache (1 MiB of
-/// program text — guest code lives at low addresses by convention).
-const ICACHE_WORDS: usize = 1 << 18;
+use crate::op::Op;
+
+/// Words of low memory covered by the compiled-op cache (1 MiB of program
+/// text — guest code lives at low addresses by convention).
+const OP_WORDS: usize = 1 << 18;
 
 /// Memory access failure. The CPU turns these into a data-abort stop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,15 +47,14 @@ impl Error for MemError {}
 
 /// A private, flat address space.
 ///
-/// Carries a decode cache over low memory so the interpreter does not
-/// re-decode hot loops on every iteration; any store into a cached word
-/// invalidates its entry (self-modifying code stays correct). Each entry
-/// holds the raw encoding alongside the decoded form so fetches never
-/// fabricate a word.
+/// Carries one compiled [`Op`] per word of low memory so the interpreter
+/// compiles each instruction once, on its first execution; any store into
+/// a word resets its op to [`Op::Empty`] (self-modifying code stays
+/// correct).
 #[derive(Debug, Clone)]
 pub struct Memory {
     bytes: Vec<u8>,
-    icache: Vec<Option<(u32, Instr)>>,
+    ops: Vec<Op>,
 }
 
 impl PartialEq for Memory {
@@ -67,74 +68,57 @@ impl Eq for Memory {}
 impl Memory {
     /// Allocate `size` zeroed bytes.
     ///
-    /// The decode cache starts empty and grows on demand up to
-    /// [`ICACHE_WORDS`] entries: zeroing megabytes of cache up front
-    /// dominates short-lived instances (benchmarks, small scenario
-    /// jobs), while real programs only ever touch the low words.
+    /// The op array starts empty and grows on demand up to [`OP_WORDS`]
+    /// entries: zeroing megabytes of it up front dominates short-lived
+    /// instances (benchmarks, small scenario jobs), while real programs
+    /// only ever touch the low words.
     ///
     /// # Panics
     ///
     /// Panics if `size` is not a multiple of 4.
     pub fn new(size: u32) -> Self {
         assert!(size.is_multiple_of(4), "memory size must be word-aligned");
-        Self { bytes: vec![0; size as usize], icache: Vec::new() }
+        Self { bytes: vec![0; size as usize], ops: Vec::new() }
     }
 
-    /// Highest word index the decode cache may grow to cover.
+    /// Highest word index the op array may grow to cover.
     #[inline]
-    fn cache_limit(&self) -> usize {
-        (self.bytes.len() / 4).min(ICACHE_WORDS)
+    fn op_limit(&self) -> usize {
+        (self.bytes.len() / 4).min(OP_WORDS)
     }
 
-    /// Fetch and decode the instruction at `addr`, consulting the decode
-    /// cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the word read error; returns `Ok(None)` when the word
-    /// does not decode (undefined instruction).
-    #[inline]
-    pub fn fetch_instr(&mut self, addr: u32) -> Result<(u32, Option<Instr>), MemError> {
-        let idx = (addr / 4) as usize;
-        if addr.is_multiple_of(4) {
-            if let Some(Some((word, instr))) = self.icache.get(idx) {
-                return Ok((*word, Some(*instr)));
-            }
-        }
-        self.fetch_instr_slow(addr, idx)
-    }
-
-    /// Decode-cache miss path: read, decode, and (for decodable words in
-    /// low memory) populate the cache.
-    #[cold]
-    fn fetch_instr_slow(&mut self, addr: u32, idx: usize) -> Result<(u32, Option<Instr>), MemError> {
-        let word = self.read_word(addr)?;
-        match decode(word) {
-            Ok(instr) => {
-                if idx < self.cache_limit() {
-                    if idx >= self.icache.len() {
-                        self.icache.resize(idx + 1, None);
-                    }
-                    self.icache[idx] = Some((word, instr));
-                }
-                Ok((word, Some(instr)))
-            }
-            Err(_) => Ok((word, None)),
-        }
-    }
-
-    /// Decode-cache lookup alone: the infallible fast lane the
-    /// interpreter hot loop uses before falling back to
-    /// [`Memory::fetch_instr`]. Hits only on aligned, previously decoded
-    /// words, so callers can skip all error handling.
+    /// The compiled op for the instruction at `pc`: [`Op::Empty`] for an
+    /// aligned word of the compiled text that [`Memory::compile`] has
+    /// not (or no longer) seen, [`Op::Fetch`] for any address the array
+    /// does not cover.
     #[inline(always)]
-    pub fn cached_instr(&self, addr: u32) -> Option<(u32, Instr)> {
-        if addr.is_multiple_of(4) {
-            if let Some(&Some(entry)) = self.icache.get((addr / 4) as usize) {
-                return Some(entry);
+    pub(crate) fn op(&self, pc: u32) -> Op {
+        if pc.is_multiple_of(4) {
+            let idx = (pc / 4) as usize;
+            if let Some(&op) = self.ops.get(idx) {
+                return op;
+            }
+            if idx < self.op_limit() {
+                return Op::Empty;
             }
         }
-        None
+        Op::Fetch
+    }
+
+    /// Compile the word at `pc`, for which [`Memory::op`] returned
+    /// [`Op::Empty`], into its slot: afterwards `op(pc)` is never
+    /// `Empty`. An undecodable word compiles to [`Op::Fetch`].
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn compile(&mut self, pc: u32) {
+        let idx = (pc / 4) as usize;
+        debug_assert!(pc.is_multiple_of(4) && idx < self.op_limit(), "no op slot for {pc:#x}");
+        let word = self.read_word(pc).expect("op slots cover only readable words");
+        let op = decode(word).map_or(Op::Fetch, |instr| Op::compile(pc, word, instr));
+        if idx >= self.ops.len() {
+            self.ops.resize(idx + 1, Op::Empty);
+        }
+        self.ops[idx] = op;
     }
 
     /// Size in bytes.
@@ -161,8 +145,10 @@ impl Memory {
         if !addr.is_multiple_of(4) {
             return Err(MemError::Unaligned { addr });
         }
-        let i = self.check(addr, 4)?;
-        Ok(u32::from_le_bytes([self.bytes[i], self.bytes[i + 1], self.bytes[i + 2], self.bytes[i + 3]]))
+        match self.bytes.get(addr as usize..).and_then(<[u8]>::first_chunk) {
+            Some(&word) => Ok(u32::from_le_bytes(word)),
+            None => Err(MemError::OutOfRange { addr, size: self.size() }),
+        }
     }
 
     /// Write an aligned word.
@@ -175,10 +161,12 @@ impl Memory {
         if !addr.is_multiple_of(4) {
             return Err(MemError::Unaligned { addr });
         }
-        let i = self.check(addr, 4)?;
-        self.bytes[i..i + 4].copy_from_slice(&value.to_le_bytes());
-        if let Some(slot) = self.icache.get_mut(i / 4) {
-            *slot = None;
+        match self.bytes.get_mut(addr as usize..).and_then(<[u8]>::first_chunk_mut) {
+            Some(word) => *word = value.to_le_bytes(),
+            None => return Err(MemError::OutOfRange { addr, size: self.size() }),
+        }
+        if let Some(slot) = self.ops.get_mut(addr as usize / 4) {
+            *slot = Op::Empty;
         }
         Ok(())
     }
@@ -203,8 +191,8 @@ impl Memory {
     pub fn write_byte(&mut self, addr: u32, value: u8) -> Result<(), MemError> {
         let i = self.check(addr, 1)?;
         self.bytes[i] = value;
-        if let Some(slot) = self.icache.get_mut(i / 4) {
-            *slot = None;
+        if let Some(slot) = self.ops.get_mut(i / 4) {
+            *slot = Op::Empty;
         }
         Ok(())
     }
@@ -218,8 +206,8 @@ impl Memory {
         let i = self.check(addr, data.len() as u32)?;
         self.bytes[i..i + data.len()].copy_from_slice(data);
         for w in i / 4..(i + data.len()).div_ceil(4) {
-            if let Some(slot) = self.icache.get_mut(w) {
-                *slot = None;
+            if let Some(slot) = self.ops.get_mut(w) {
+                *slot = Op::Empty;
             }
         }
         Ok(())
@@ -277,22 +265,32 @@ mod tests {
     }
 
     #[test]
-    fn fetch_returns_raw_word_on_cache_hit() {
-        let p = proteus_isa::assemble("mov r0, #1\n").expect("asm");
+    fn store_resets_the_compiled_op() {
+        let p = proteus_isa::assemble("mov r0, #1\n swi #3\n .word 0xFFFFFFFF\n").expect("asm");
         let mut m = Memory::new(1024);
         m.load_program(&p).expect("load");
-        let word = m.read_word(0).expect("read");
-        assert_ne!(word, 0);
-        let (miss_word, miss_instr) = m.fetch_instr(0).expect("miss fetch");
-        let (hit_word, hit_instr) = m.fetch_instr(0).expect("hit fetch");
-        assert_eq!(miss_word, word);
-        assert_eq!(hit_word, word, "cache hit must report the true encoding");
-        assert_eq!(miss_instr, hit_instr);
-        assert_eq!(m.cached_instr(0), Some((word, miss_instr.expect("decodes"))));
-        // Stores invalidate; unaligned and uncached addresses miss.
-        m.write_word(0, word).expect("write");
-        assert_eq!(m.cached_instr(0), None);
-        assert_eq!(m.cached_instr(2), None);
+        assert_eq!(m.op(0), Op::Empty, "nothing is compiled before its first execution");
+        m.compile(0);
+        assert!(matches!(m.op(0), Op::DpImm { rd: 0, imm: 1, .. }), "{:?}", m.op(0));
+        // A generic op reports the true encoding, an undecodable word
+        // compiles to the reference fetch.
+        m.compile(4);
+        let word = m.read_word(4).expect("read");
+        assert_eq!(m.op(4), Op::Generic { word, instr: decode(word).expect("decodes") });
+        m.compile(8);
+        assert_eq!(m.op(8), Op::Fetch);
+        // Word, byte and slice stores reset the ops they touch, and only
+        // those.
+        m.write_word(0, 0).expect("write");
+        assert_eq!(m.op(0), Op::Empty);
+        assert_ne!(m.op(4), Op::Empty);
+        m.write_byte(7, 0xEF).expect("write");
+        assert_eq!(m.op(4), Op::Empty);
+        m.write_bytes(10, &[0]).expect("write");
+        assert_eq!(m.op(8), Op::Empty);
+        // Unaligned and uncovered addresses take the reference fetch.
+        assert_eq!(m.op(2), Op::Fetch);
+        assert_eq!(m.op(1024), Op::Fetch);
     }
 
     #[test]

@@ -1,107 +1,11 @@
 //! Property tests over the instruction set: encoding, decoding and the
 //! assembler agree with each other on the entire instruction space.
 
+mod isa_gen;
+
+use isa_gen::arb_instr;
 use proptest::prelude::*;
-use proteus_isa::{
-    assemble, decode, encode, BlockOp, Cond, DpOp, Instr, MemOp, Operand2, OperandSel, Reg, Shift,
-    ShiftKind,
-};
-
-fn arb_cond() -> impl Strategy<Value = Cond> {
-    (0u32..15).prop_map(|b| Cond::from_bits(b).expect("valid"))
-}
-
-fn arb_reg() -> impl Strategy<Value = Reg> {
-    (0u8..16).prop_map(Reg::new)
-}
-
-fn arb_shift() -> impl Strategy<Value = Shift> {
-    ((0u32..4), (0u8..32)).prop_map(|(k, amount)| {
-        // Canonical form: a zero-amount shift passes the value through
-        // whatever its kind, and the text form drops it entirely.
-        let kind = if amount == 0 { ShiftKind::Lsl } else { ShiftKind::from_bits(k) };
-        Shift { kind, amount }
-    })
-}
-
-fn arb_op2() -> impl Strategy<Value = Operand2> {
-    prop_oneof![
-        // Canonical immediate: (value, rot) pairs are not unique (0
-        // encodes under every rotation), and the assembler always picks
-        // the lowest rotation — mirror that choice.
-        ((0u8..=255), (0u8..16)).prop_map(|(value, rot)| {
-            Operand2::try_imm(Operand2::imm_value(value, rot)).expect("representable")
-        }),
-        (arb_reg(), arb_shift()).prop_map(|(reg, shift)| Operand2::Reg { reg, shift }),
-    ]
-}
-
-fn arb_instr() -> impl Strategy<Value = Instr> {
-    prop_oneof![
-        (arb_cond(), (0u32..16), any::<bool>(), arb_reg(), arb_reg(), arb_op2()).prop_map(
-            |(cond, op, s, rd, rn, op2)| {
-                let op = DpOp::from_bits(op);
-                // Canonical form: test ops have no destination, moves
-                // have no first operand (the text form cannot express
-                // the ignored field).
-                let rd = if op.is_test() { Reg::new(0) } else { rd };
-                let rn = if op.is_move() { Reg::new(0) } else { rn };
-                Instr::DataProc { op, cond, s: s || op.is_test(), rd, rn, op2 }
-            }
-        ),
-        (arb_cond(), any::<bool>(), arb_reg(), arb_reg(), arb_reg(), proptest::option::of(arb_reg()))
-            .prop_map(|(cond, s, rd, rm, rs, acc)| Instr::Mul { cond, s, rd, rm, rs, acc }),
-        (
-            arb_cond(),
-            any::<bool>(),
-            any::<bool>(),
-            arb_reg(),
-            arb_reg(),
-            (0u16..2048),
-            any::<bool>(),
-            any::<bool>(),
-            any::<bool>()
-        )
-            .prop_map(|(cond, load, byte, rd, rn, imm, up, pre, writeback)| Instr::Mem {
-                op: if load { MemOp::Ldr } else { MemOp::Str },
-                cond,
-                byte,
-                rd,
-                rn,
-                offset: proteus_isa::instr::MemOffset::Imm(imm),
-                // A zero offset is canonically an addition (there is no
-                // negative zero).
-                up: up || imm == 0,
-                pre,
-                // Post-indexed access always writes back (the bit is a
-                // don't-care the assembly form cannot express).
-                writeback: writeback || !pre,
-            }),
-        (arb_cond(), any::<bool>(), arb_reg(), (1u16..), any::<bool>(), any::<bool>(), any::<bool>())
-            .prop_map(|(cond, load, rn, regs, before, up, writeback)| Instr::Block {
-                op: if load { BlockOp::Ldm } else { BlockOp::Stm },
-                cond,
-                rn,
-                regs,
-                before,
-                up,
-                writeback,
-            }),
-        (arb_cond(), any::<bool>(), (-(1i32 << 22)..(1i32 << 22)))
-            .prop_map(|(cond, link, offset)| Instr::Branch { cond, link, offset }),
-        (arb_cond(), (0u32..1 << 24)).prop_map(|(cond, imm)| Instr::Swi { cond, imm }),
-        (arb_cond(), any::<u8>(), arb_reg(), arb_reg(), arb_reg())
-            .prop_map(|(cond, cid, rd, rn, rm)| Instr::Pfu { cond, cid, rd, rn, rm }),
-        (arb_cond(), (0u8..16), arb_reg()).prop_map(|(cond, rfu, rs)| Instr::Mcr { cond, rfu, rs }),
-        (arb_cond(), arb_reg(), (0u8..16)).prop_map(|(cond, rd, rfu)| Instr::Mrc { cond, rd, rfu }),
-        (arb_cond(), arb_reg(), prop_oneof![Just(OperandSel::A), Just(OperandSel::B)])
-            .prop_map(|(cond, rd, sel)| Instr::LdOp { cond, rd, sel }),
-        (arb_cond(), arb_reg()).prop_map(|(cond, rs)| Instr::StRes { cond, rs }),
-        arb_cond().prop_map(|cond| Instr::RetSd { cond }),
-        (arb_cond(), (0u8..16), arb_reg()).prop_map(|(cond, field, rs)| Instr::McrO { cond, field, rs }),
-        (arb_cond(), arb_reg(), (0u8..16)).prop_map(|(cond, rd, field)| Instr::MrcO { cond, rd, field }),
-    ]
-}
+use proteus_isa::{assemble, decode, encode, Instr, Operand2};
 
 proptest! {
     /// encode ∘ decode = identity over the full instruction space.

@@ -14,6 +14,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== test =="
 cargo test -q --workspace
 
+echo "== benchmark self-test (perfbench, smoke scale) =="
+# Builds the benchmark package and runs every workload at smoke scale:
+# guest checksums, the conservation laws, traced = untraced runs, seed
+# determinism and the output schema.
+python3 perfbench/selftest.py
+
 echo "== repro determinism (fig2, --jobs 1 vs --jobs 2) =="
 serial_dir=target/ci-repro/serial
 parallel_dir=target/ci-repro/parallel
