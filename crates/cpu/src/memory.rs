@@ -68,8 +68,8 @@ impl Eq for Memory {}
 impl Memory {
     /// Allocate `size` zeroed bytes.
     ///
-    /// The op array starts empty and grows on demand up to [`OP_WORDS`]
-    /// entries: zeroing megabytes of it up front dominates short-lived
+    /// The op array starts empty and grows on demand to cover at most the
+    /// low 1 MiB of program text: zeroing megabytes of it up front dominates short-lived
     /// instances (benchmarks, small scenario jobs), while real programs
     /// only ever touch the low words.
     ///

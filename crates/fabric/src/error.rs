@@ -45,16 +45,6 @@ pub enum FabricError {
         /// Description of the defect.
         detail: String,
     },
-    /// A static configuration frame failed its CRC check (SEU or
-    /// transit corruption detected on load or scrub readback).
-    CrcMismatch {
-        /// Index of the corrupt CLB frame.
-        frame: usize,
-        /// CRC recorded when the frame was encoded.
-        expected: u32,
-        /// CRC computed from the (corrupt) frame contents.
-        actual: u32,
-    },
     /// The bitstream targets a fabric of different dimensions.
     DimensionMismatch {
         /// Dimensions the bitstream was compiled for.
@@ -93,10 +83,6 @@ impl fmt::Display for FabricError {
             FabricError::MalformedBitstream { detail } => {
                 write!(f, "malformed bitstream: {detail}")
             }
-            FabricError::CrcMismatch { frame, expected, actual } => write!(
-                f,
-                "frame {frame} CRC mismatch: expected {expected:#010x}, got {actual:#010x}"
-            ),
             FabricError::DimensionMismatch { expected, actual } => write!(
                 f,
                 "bitstream compiled for {}x{} fabric, device is {}x{}",

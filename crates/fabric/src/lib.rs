@@ -60,7 +60,6 @@ pub mod bitstream;
 pub mod builder;
 pub mod device;
 pub mod error;
-pub mod fault;
 pub mod library;
 pub mod netlist;
 pub mod place;
@@ -69,7 +68,6 @@ pub mod synth;
 pub mod validate;
 
 pub use bitstream::{Bitstream, CONFIG_BYTES_PER_CLB};
-pub use fault::{FaultConfig, FaultInjector, FaultKind};
 pub use builder::NetlistBuilder;
 pub use device::{ClockOutput, Device};
 pub use error::FabricError;

@@ -56,7 +56,7 @@ pub struct GateId(pub u32);
 pub enum Gate {
     /// One bit of a named input port.
     Input {
-        /// Index into [`GateNetlist::inputs`].
+        /// Index into the netlist's input ports, in declaration order.
         port: u16,
         /// Bit within the port.
         bit: u16,

@@ -1,4 +1,4 @@
-//! Binary decoding (the inverse of [`crate::encode`]).
+//! Binary decoding (the inverse of [`crate::encode()`]).
 
 use std::error::Error;
 use std::fmt;

@@ -37,7 +37,7 @@
 //!
 //! Several field combinations are redundant: they denote the same
 //! operation as another encoding. The encoder always emits — and
-//! [`crate::decode`] always returns — the *canonical* choice, so
+//! [`crate::decode()`] always returns — the *canonical* choice, so
 //! `encode ∘ decode` is the identity on canonical words and the
 //! disassembly of any decoded instruction re-assembles to the same
 //! word (DESIGN.md §2, "one text form per operation"):

@@ -18,7 +18,7 @@
 //!   the OS can preserve it across context switches.
 //!
 //! The encoding is this project's own clean 32-bit format (documented on
-//! [`encode`]); it is *not* binary-compatible with ARM, which is
+//! [`encode`](mod@encode)); it is *not* binary-compatible with ARM, which is
 //! irrelevant to the paper's experiments — they measure cycles, not
 //! opcodes. A full two-pass text [`asm`] (with `ldr rd, =imm` literal
 //! pools) and a disassembler round out the toolchain.

@@ -285,7 +285,7 @@ impl Cis {
         &mut self,
         key: TupleKey,
         rfu: &mut Rfu,
-        faults: Option<&mut FaultUnit>,
+        faults: &mut FaultUnit,
         probe: &mut Probe,
         at: u64,
     ) -> FaultResolution {
@@ -396,7 +396,7 @@ impl Cis {
         &mut self,
         key: TupleKey,
         rfu: &mut Rfu,
-        faults: Option<&mut FaultUnit>,
+        faults: &mut FaultUnit,
         probe: &mut Probe,
         at: u64,
     ) -> FaultResolution {
@@ -461,10 +461,10 @@ impl Cis {
         // (bounded) until it verifies. A transfer still corrupt after
         // the retry budget stays in place flagged corrupt — the
         // watchdog path repairs it on first use.
-        if let Some(fu) = faults.filter(|fu| fu.transit_active()) {
+        if faults.transit_active() {
             let rungs = Tag::new(key.pid, Callsite::FaultRungs);
             let crc = self.costs.crc_check;
-            let mut corrupt = fu.transit_corrupts();
+            let mut corrupt = faults.transit_corrupts();
             probe.emit(at, rungs, Event::ScrubCheck { pfu: target, corrupt, cost: crc });
             cycles += crc;
             let mut attempt = 0u32;
@@ -477,7 +477,7 @@ impl Cis {
                     Event::RecoveryRetry { key, pfu: target, attempt, words: full_words, cost },
                 );
                 cycles += cost;
-                corrupt = fu.transit_corrupts();
+                corrupt = faults.transit_corrupts();
                 probe.emit(at, rungs, Event::ScrubCheck { pfu: target, corrupt, cost: crc });
                 cycles += crc;
             }
@@ -536,7 +536,7 @@ impl Cis {
         key: TupleKey,
         pfu: PfuIndex,
         rfu: &mut Rfu,
-        faults: Option<&mut FaultUnit>,
+        faults: &mut FaultUnit,
         probe: &mut Probe,
         at: u64,
     ) -> FaultResolution {
@@ -657,6 +657,7 @@ impl Cis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use proteus_cpu::coproc::CoprocResult;
     use proteus_cpu::Coprocessor;
     use proteus_rfu::behavioral::FixedLatency;
@@ -691,7 +692,7 @@ mod tests {
     }
 
     fn fault(cis: &mut Cis, rfu: &mut Rfu, probe: &mut Probe, key: TupleKey) -> FaultResolution {
-        cis.handle_fault(key, rfu, None, probe, 0)
+        cis.handle_fault(key, rfu, &mut FaultUnit::new(FaultPlan::default()), probe, 0)
     }
 
     #[test]

@@ -1,13 +1,19 @@
 //! Kernel-side fault injection and the recovery policy.
 //!
-//! The fabric crate owns the *mechanics* of configuration damage (CRC
-//! frames, bit flips, the seeded [`FaultInjector`]); this module owns
-//! the *campaign plan* — when upsets arrive, which slot is stuck, how
-//! often the kernel scrubs — and the policy ladder the fault handler
-//! climbs: retry → software dispatch → quarantine (DESIGN.md §9).
+//! Configuration damage is modelled as PFU health state, not as bits in
+//! a bitstream image: an SEU strike sets the struck slot's
+//! `config_corrupt` flag, a transit error leaves a freshly loaded slot
+//! corrupt, and a CRC readback (scrub pass, watchdog diagnosis, load
+//! verification) reads that flag and charges `CostModel::crc_check`.
+//! This module owns the *campaign plan* — when upsets arrive, which slot
+//! is stuck, how often the kernel scrubs — the seeded [`FaultUnit`] that
+//! draws it against the simulated clock, and the policy ladder the
+//! fault handler climbs: retry → software dispatch → quarantine
+//! (DESIGN.md §9).
 
-use proteus_fabric::{FaultConfig, FaultInjector};
 use proteus_rfu::PfuIndex;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A deterministic fault-injection plan for one run.
 ///
@@ -86,10 +92,12 @@ impl RecoveryPolicy {
 /// The kernel polls it at scheduling boundaries; due events (SEU
 /// strikes, the stuck-at onset) are applied to PFU health state, and
 /// the configuration-bus path consults [`FaultUnit::transit_corrupts`]
-/// per transfer.
+/// per transfer. Every draw — SEU gaps, victim slots, transit coin
+/// flips — comes from one `StdRng` seeded by the plan, so equal plans
+/// replay exactly; a plan with every rate at zero draws nothing.
 #[derive(Debug)]
 pub struct FaultUnit {
-    injector: FaultInjector,
+    rng: StdRng,
     plan: FaultPlan,
     /// Absolute cycle of the next SEU strike.
     next_seu: Option<u64>,
@@ -101,20 +109,26 @@ pub struct FaultUnit {
 impl FaultUnit {
     /// A unit executing `plan`.
     pub fn new(plan: FaultPlan) -> Self {
-        let mut injector = FaultInjector::new(
-            plan.seed,
-            FaultConfig {
-                seu_mean_cycles: plan.seu_mean_cycles,
-                transit_error_rate: plan.transit_error_rate,
-            },
-        );
-        let next_seu = injector.next_seu_gap();
-        Self { injector, plan, next_seu, next_scrub: plan.scrub_interval, stuck_applied: false }
+        let mut unit = Self {
+            rng: StdRng::seed_from_u64(plan.seed),
+            plan,
+            next_seu: None,
+            next_scrub: plan.scrub_interval,
+            stuck_applied: false,
+        };
+        unit.next_seu = unit.next_seu_gap();
+        unit
     }
 
-    /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
+    /// Draw the gap (in cycles) until the next SEU strike, or `None` if
+    /// upsets are disabled: exponential inter-arrival via inverse
+    /// transform, matching the dynamic-load arrival harness.
+    fn next_seu_gap(&mut self) -> Option<u64> {
+        if self.plan.seu_mean_cycles == 0 {
+            return None;
+        }
+        let u: f64 = self.rng.gen_range(1e-9..1.0);
+        Some(((-u.ln() * self.plan.seu_mean_cycles as f64) as u64).max(1))
     }
 
     /// Whether configuration transfers can corrupt in transit (the
@@ -125,7 +139,7 @@ impl FaultUnit {
 
     /// Draw whether one configuration transfer arrives corrupted.
     pub fn transit_corrupts(&mut self) -> bool {
-        self.injector.transit_corrupts()
+        self.transit_active() && self.rng.gen_range(0.0..1.0) < self.plan.transit_error_rate
     }
 
     /// Earliest cycle at which something is due (SEU, scrub, or the
@@ -178,8 +192,8 @@ impl FaultUnit {
             if due > now {
                 break;
             }
-            struck.push(self.injector.pick(pfus));
-            self.next_seu = self.injector.next_seu_gap().map(|gap| due + gap);
+            struck.push(self.rng.gen_range(0..pfus));
+            self.next_seu = self.next_seu_gap().map(|gap| due + gap);
         }
         struck
     }
@@ -209,6 +223,59 @@ mod tests {
         assert!(!hits_a.is_empty());
         assert!(hits_a.iter().all(|&p| p < 4));
         assert!(a.next_due().expect("more to come") > due + 50_000);
+    }
+
+    /// SEU victims and transit draws of `plan` interleaved over 20
+    /// scheduling boundaries, the way the kernel consumes them.
+    fn draws(plan: FaultPlan) -> (Vec<PfuIndex>, Vec<bool>) {
+        let mut fu = FaultUnit::new(plan);
+        let (mut struck, mut transit) = (Vec::new(), Vec::new());
+        for step in 1..=20 {
+            struck.extend(fu.take_due_seus(step * 5_000, 4));
+            transit.push(fu.transit_corrupts());
+        }
+        (struck, transit)
+    }
+
+    const NOISY: FaultPlan = FaultPlan {
+        seed: 2003,
+        seu_mean_cycles: 2_000,
+        transit_error_rate: 0.5,
+        stuck_pfu: None,
+        scrub_interval: None,
+    };
+
+    #[test]
+    fn injector_is_deterministic() {
+        let (struck, transit) = draws(NOISY);
+        assert_eq!(draws(NOISY), (struck.clone(), transit.clone()), "same plan, same draws");
+        assert!(!struck.is_empty() && struck.iter().all(|&p| p < 4));
+        assert!(transit.contains(&true) && transit.contains(&false));
+    }
+
+    #[test]
+    fn different_seeds_draw_differently() {
+        let other = FaultPlan { seed: NOISY.seed + 1, ..NOISY };
+        let (struck_a, transit_a) = draws(NOISY);
+        let (struck_b, transit_b) = draws(other);
+        assert_ne!(struck_a, struck_b, "victim slots depend on the seed");
+        assert_ne!(transit_a, transit_b, "transit draws depend on the seed");
+    }
+
+    #[test]
+    fn transit_only_plan_schedules_no_seu() {
+        let mut fu = FaultUnit::new(FaultPlan { transit_error_rate: 1.0, ..FaultPlan::default() });
+        assert!(fu.transit_active());
+        assert_eq!(fu.next_due(), None);
+        assert!(fu.transit_corrupts());
+        assert!(fu.take_due_seus(u64::MAX, 4).is_empty());
+    }
+
+    #[test]
+    fn disabled_rates_draw_nothing() {
+        let mut fu = FaultUnit::new(FaultPlan::default());
+        assert!((0..64).all(|_| !fu.transit_corrupts()));
+        assert!(fu.take_due_seus(u64::MAX, 4).is_empty());
     }
 
     #[test]

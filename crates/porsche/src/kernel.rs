@@ -230,7 +230,7 @@ pub struct Kernel {
     cis: Cis,
     probe: Probe,
     quantum_end: u64,
-    faults: Option<FaultUnit>,
+    faults: FaultUnit,
 }
 
 impl Kernel {
@@ -238,7 +238,7 @@ impl Kernel {
     pub fn new(config: KernelConfig) -> Self {
         let cis = Cis::new(&config);
         let probe = Probe::new(config.trace_capacity);
-        let faults = config.faults.map(FaultUnit::new);
+        let faults = FaultUnit::new(config.faults.unwrap_or_default());
         Self {
             config,
             procs: BTreeMap::new(),
@@ -410,10 +410,14 @@ impl Kernel {
 
     /// Apply every environmental fault due at the current clock: the
     /// stuck-at onset, SEU strikes on configuration SRAM, and periodic
-    /// scrub passes. No-op without a fault plan.
+    /// scrub passes. Returns at once while nothing is due, which under
+    /// the default (fault-free) plan is always.
     fn service_faults(&mut self, cpu: &mut Cpu, rfu: &mut Rfu) {
-        let Some(fu) = self.faults.as_mut() else { return };
         let now = cpu.cycles();
+        if self.faults.next_due().is_none_or(|due| due > now) {
+            return;
+        }
+        let fu = &mut self.faults;
         if let Some(pfu) = fu.take_due_stuck(now) {
             if pfu < rfu.pfus().len() {
                 rfu.pfus_mut().health_mut(pfu).stuck_done = true;
@@ -605,7 +609,7 @@ impl Kernel {
             let natural = self.quantum_end.min(cycle_limit).min(stop_cycle);
             // Injected faults land at their exact cycle: cap the run at
             // the next due event and resume without preempting.
-            let until = match self.faults.as_ref().and_then(FaultUnit::next_due) {
+            let until = match self.faults.next_due() {
                 Some(due) => natural.min(due.max(cpu.cycles() + 1)),
                 None => natural,
             };
@@ -640,7 +644,7 @@ impl Kernel {
                     let resolution = self.cis.handle_fault(
                         TupleKey::new(pid, cid),
                         rfu,
-                        self.faults.as_mut(),
+                        &mut self.faults,
                         &mut self.probe,
                         cpu.cycles(),
                     );
@@ -759,6 +763,40 @@ mod tests {
         assert_eq!(report.exited[0].2, 42);
         assert_eq!(report.stats.custom_faults, 1);
         assert_eq!(report.stats.config_loads, 1);
+    }
+
+    #[test]
+    fn absent_fault_plan_runs_like_the_default_plan() {
+        // The kernel always owns a fault unit; `faults: None` maps to the
+        // default plan, which must draw and schedule nothing.
+        let src = "mov r0, #30\n mov r1, #12\n ldr r4, =40\n\
+                   loop: pfu 0, r2, r0, r1\n subs r4, r4, #1\n bne loop\n mov r0, r2\n swi #0\n";
+        let p = assemble(src).expect("asm");
+        let run = |faults: Option<FaultPlan>| {
+            let mut k = Kernel::new(KernelConfig {
+                quantum: 2_000,
+                trace_capacity: 1 << 14,
+                faults,
+                ..KernelConfig::default()
+            });
+            for _ in 0..4 {
+                let spec = SpawnSpec::new(&p).circuit(CircuitSpec {
+                    cid: 0,
+                    circuit: Box::new(FixedLatency::new("add", 3, 4, |a, b| a.wrapping_add(b))),
+                    software_alt: None,
+                    image: None,
+                });
+                k.spawn(spec).expect("spawn");
+            }
+            let mut cpu = Cpu::new();
+            let mut rfu = Rfu::new(RfuConfig { pfus: 2, ..RfuConfig::default() });
+            let report = k.run(&mut cpu, &mut rfu, 100_000_000).expect("run");
+            (report, k.trace().snapshot())
+        };
+        let (report, trace) = run(None);
+        assert!(report.stats.config_loads > 2, "contended slots reload: {:?}", report.stats);
+        assert!(!trace.is_empty());
+        assert_eq!(run(Some(FaultPlan::default())), (report, trace));
     }
 
     #[test]

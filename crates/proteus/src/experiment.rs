@@ -17,8 +17,7 @@
 //! | D1   | dynamic arrival loads (§6 future work) | [`dynamic_load_plan`] |
 //! | F1   | fault-injection campaign (DESIGN.md §9) | [`fault_campaign_plan`] |
 //!
-//! Each generator *describes* its figure as an
-//! [`ExperimentPlan`](crate::runner::ExperimentPlan): one
+//! Each generator *describes* its figure as an [`ExperimentPlan`]: one
 //! [`ScenarioJob`](crate::runner::ScenarioJob) per independent
 //! simulation. The plan is executed — serially or on a worker pool —
 //! by [`crate::runner`], which guarantees the assembled

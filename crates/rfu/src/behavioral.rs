@@ -111,7 +111,18 @@ impl PfuCircuit for FixedLatency {
                 detail: format!("{} needs ≥3 state words, got {}", self.name, state.0.len()),
             });
         }
-        self.elapsed = state.0[0];
+        // `elapsed` resets on the completing clock, so a frame at or past
+        // the latency was never saved by this circuit.
+        let elapsed = state.0[0];
+        if elapsed >= self.latency {
+            return Err(FabricError::StateMismatch {
+                detail: format!(
+                    "{} cannot hold {elapsed} clocks elapsed at latency {}",
+                    self.name, self.latency
+                ),
+            });
+        }
+        self.elapsed = elapsed;
         self.latched = (state.0[1], state.0[2]);
         Ok(())
     }
@@ -182,5 +193,32 @@ mod tests {
     fn short_state_rejected() {
         let mut c = FixedLatency::new("x", 1, 4, |a, _| a);
         assert!(c.load_state(&CircuitState(vec![1])).is_err());
+    }
+
+    #[test]
+    fn unreachable_state_frames_rejected() {
+        let latency = 5;
+        let mut c = FixedLatency::new("add5", latency, 4, |a, b| a + b);
+        let before = c.save_state();
+        for elapsed in [latency, latency + 1, u32::MAX] {
+            let mut words = before.0.clone();
+            words[0] = elapsed;
+            let err = c.load_state(&CircuitState(words));
+            assert!(matches!(err, Err(FabricError::StateMismatch { .. })), "elapsed {elapsed}: {err:?}");
+            assert_eq!(c.save_state(), before, "a rejected load must not change the circuit");
+        }
+        // The last reachable progress loads and completes on the next
+        // clock, on the fast-forward lane and the per-clock referee alike.
+        let mut words = before.0;
+        words[0] = latency - 1;
+        words[1] = 7;
+        words[2] = 8;
+        let frame = CircuitState(words);
+        let mut fast = FixedLatency::new("add5", latency, 4, |a, b| a + b);
+        let mut slow = FixedLatency::new("add5", latency, 4, |a, b| a + b);
+        fast.load_state(&frame).expect("latency - 1 is reachable");
+        slow.load_state(&frame).expect("latency - 1 is reachable");
+        assert_eq!(fast.run_clocks(0, 0, false, 3), (1, Some(15)));
+        assert_eq!(run_clocks_per_clock(&mut slow, 0, 0, false, 3), (1, Some(15)));
     }
 }

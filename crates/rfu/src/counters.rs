@@ -42,11 +42,6 @@ impl UsageCounters {
     pub fn read_and_clear(&mut self, pfu: usize) -> u64 {
         std::mem::take(&mut self.counts[pfu])
     }
-
-    /// Clear every counter.
-    pub fn clear_all(&mut self) {
-        self.counts.fill(0);
-    }
 }
 
 #[cfg(test)]

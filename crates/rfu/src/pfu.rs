@@ -76,7 +76,6 @@ struct Slot {
 pub struct PfuArray {
     slots: Vec<Slot>,
     counters: UsageCounters,
-    busy_cycles: u64,
 }
 
 impl PfuArray {
@@ -92,7 +91,6 @@ impl PfuArray {
                 .map(|_| Slot { circuit: None, status: true, health: PfuHealth::default() })
                 .collect(),
             counters: UsageCounters::new(count),
-            busy_cycles: 0,
         }
     }
 
@@ -208,7 +206,6 @@ impl PfuArray {
             // restarts the instruction cleanly.
             slot.status = false;
             slot.health.busy_since_done += budget;
-            self.busy_cycles += budget;
             return RunOutcome::OutOfBudget { cycles: budget };
         }
         let circuit = slot.circuit.as_mut().expect("run on empty PFU");
@@ -219,7 +216,6 @@ impl PfuArray {
         let (used, result) = circuit.run_clocks(op_a, op_b, slot.status, budget);
         debug_assert!(used >= 1 && used <= budget, "circuit consumed {used} of {budget}");
         slot.status = result.is_some();
-        self.busy_cycles += used;
         match result {
             Some(value) => {
                 slot.health.busy_since_done = 0;
@@ -232,13 +228,6 @@ impl PfuArray {
                 RunOutcome::OutOfBudget { cycles: used }
             }
         }
-    }
-
-    /// Total cycles any PFU in the array has spent clocking circuits —
-    /// the hardware-side mirror of the ledger's custom-execute
-    /// category.
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
     }
 
     /// The completion-counter bank (§4.5).

@@ -176,19 +176,9 @@ impl Rfu {
         &self.operand
     }
 
-    /// Mutable operand-block access.
-    pub fn operand_block_mut(&mut self) -> &mut OperandBlock {
-        &mut self.operand
-    }
-
     /// Consume the fault-status register (OS fault handler).
     pub fn take_fault(&mut self) -> Option<FaultInfo> {
         self.last_fault.take()
-    }
-
-    /// The dispatch counters accumulated since the last drain.
-    pub fn dispatch_counters(&self) -> DispatchCounters {
-        self.dispatch
     }
 
     /// Drain the dispatch counters (the OS reads them per run span).

@@ -11,6 +11,11 @@ cargo build --release --workspace
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc =="
+# Every intra-doc link must resolve to a public item: deleting or hiding
+# an item cannot leave a dangling link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== test =="
 cargo test -q --workspace
 
