@@ -219,7 +219,9 @@ impl Cpu {
     ///
     /// This is the compiled-op lane: each word runs as the [`Op`] its
     /// [`Memory`] compiled on first execution. The PC and the cycle count
-    /// live in locals, and each op costs one dispatch and one check
+    /// are locals rather than fields of `self` (whether they stay in
+    /// registers is up to the caller the loop is inlined into; see
+    /// DESIGN.md §7), and each op costs one dispatch and one check
     /// against the span's stop cycle, which the kernel computes once.
     /// State goes back to `self` only on a stop and around the
     /// out-of-line reference lane ([`Cpu::step`] and its execute body),
@@ -538,7 +540,11 @@ impl Cpu {
 
     /// The reference execute body: run the decoded `instr` (encoded as
     /// `word`) at `pc` against `self`, including the PC. Out of line, so
-    /// [`Cpu::run`]'s loop keeps its locals in registers around the call.
+    /// the reference ISA's code stays out of [`Cpu::run`]'s loop. That
+    /// does not keep the loop's locals in registers: in the release build
+    /// the loop is inlined into the kernel's `advance_until`, and there
+    /// the cycle count goes through a stack slot on every op (DESIGN.md
+    /// §7).
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     fn exec<C: Coprocessor + ?Sized>(

@@ -351,7 +351,7 @@ impl Cis {
         // same configuration image is resident. (Allocatable = free and
         // not quarantined; identical to the free list when no fault plan
         // is active.)
-        if self.share_circuits && rfu.pfus().available_pfus().is_empty() {
+        if self.share_circuits && rfu.pfus().available_pfus().next().is_none() {
             if let Some(pfu) = image.and_then(|img| self.hosting(img)) {
                 return self.hand_over(key, pfu, rfu, probe, at).plus(cycles);
             }
@@ -409,7 +409,8 @@ impl Cis {
 
         // Find a home: an allocatable PFU, the software alternative, or
         // a victim.
-        let target = match rfu.pfus().available_pfus().first().copied() {
+        let free = rfu.pfus().available_pfus().next();
+        let target = match free {
             Some(free) => free,
             None => {
                 // With every slot quarantined there is nothing to
@@ -835,7 +836,7 @@ mod tests {
         fault(&mut cis, &mut rfu, &mut probe, TupleKey::new(1, 0));
         fault(&mut cis, &mut rfu, &mut probe, TupleKey::new(2, 0));
         cis.release_process(1, &mut rfu);
-        assert_eq!(rfu.pfus().free_pfus().len(), 3);
+        assert_eq!(rfu.pfus().free_pfus().count(), 3);
         assert_eq!(rfu.tlb_hw().lookup(TupleKey::new(1, 0)), None);
         assert!(rfu.tlb_hw().lookup(TupleKey::new(2, 0)).is_some());
         assert!(cis.registration(TupleKey::new(1, 0)).is_none(), "registrations dropped");
@@ -909,7 +910,7 @@ mod tests {
         assert!(rfu.pfus().health(home).quarantined);
         let new_home = cis.resident(key).expect("relocated");
         assert_ne!(new_home, home, "circuit moved off the quarantined slot");
-        assert!(!rfu.pfus().available_pfus().contains(&home));
+        assert!(!rfu.pfus().available_pfus().any(|p| p == home));
         // Degraded but correct: the instruction completes on the new
         // home.
         assert!(matches!(rfu.exec_custom(1, 0, 2, 3, 0, 0, 100_000), CoprocResult::Done { value: 5, .. }));
@@ -929,7 +930,7 @@ mod tests {
         assert_eq!(probe.stats().fault_failovers, 1);
         assert_eq!(probe.stats().recovery_retries, 0, "retry rung was disabled");
         assert!(cis.registry[&key].soft_active);
-        assert!(rfu.pfus().free_pfus().contains(&0), "the abandoned slot was unloaded");
+        assert!(rfu.pfus().free_pfus().any(|p| p == 0), "the abandoned slot was unloaded");
         // The reissue dispatches through TLB2 to the alternative.
         assert!(matches!(
             rfu.exec_custom(1, 0, 2, 3, 0, 0x88, 100_000),

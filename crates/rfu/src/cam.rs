@@ -86,7 +86,9 @@ impl Cam {
         self.len() == 0
     }
 
-    /// Associative lookup (the hardware fast path).
+    /// Associative lookup (the hardware fast path). Inlined into
+    /// `Rfu::exec_custom`, which makes it once or twice per custom issue.
+    #[inline]
     pub fn lookup(&self, key: TupleKey) -> Option<u32> {
         let word = key.packed();
         self.keys.iter().position(|&k| k == word).map(|slot| self.values[slot])

@@ -19,6 +19,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== test =="
 cargo test -q --workspace
 
+echo "== micro-benchmark bodies (each routine once, untimed) =="
+# Clippy only compiles the benches; `--test` runs every routine once, so
+# their set-up and the stop and checksum asserts in their bodies run too.
+cargo bench -p proteus-bench --bench micro_components -- --test
+
 echo "== benchmark self-test (perfbench, smoke scale) =="
 # Builds the benchmark package and runs every workload at smoke scale:
 # guest checksums, the conservation laws, traced = untraced runs, seed
