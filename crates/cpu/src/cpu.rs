@@ -1,6 +1,6 @@
 //! The fetch/decode/execute loop with ARM7-class cycle accounting.
 
-use proteus_isa::{decode, BlockOp, Cond, Instr, MemOp, Reg};
+use proteus_isa::{decode, BlockOp, Cond, DpOp, Instr, MemOp, Reg, Shift, ShiftKind};
 
 use crate::alu::{self, Cpsr};
 use crate::coproc::{CoprocResult, Coprocessor};
@@ -217,17 +217,21 @@ impl Cpu {
     /// [`Stop::Undefined`] / [`Stop::MemFault`] it has not, and on
     /// [`Stop::Quantum`] execution may simply be resumed later.
     ///
-    /// This is the compiled-op lane: each word runs as the [`Op`] its
-    /// [`Memory`] compiled on first execution. The PC and the cycle count
-    /// are locals rather than fields of `self` (whether they stay in
-    /// registers is up to the caller the loop is inlined into; see
-    /// DESIGN.md §7), and each op costs one dispatch and one check
-    /// against the span's stop cycle, which the kernel computes once.
-    /// State goes back to `self` only on a stop and around the
-    /// out-of-line reference lane ([`Cpu::step`] and its execute body),
-    /// which runs the ops the loop does not specialise ([`Op::Generic`],
-    /// [`Op::Fetch`]). [`Cpu::run_stepped`] loops over `step` alone: the
-    /// referee the tests hold this lane to.
+    /// This is the compiled-op lane: each word runs as the 8-byte [`Op`]
+    /// its [`Memory`] compiled on first execution, reached by one tag load
+    /// and one indirect jump. The PC, the cycle count and the span's stop
+    /// cycle (which the kernel computes once) are locals that stay in
+    /// registers, both in a standalone build of this loop and where the
+    /// kernel's `advance_until` inlines it (DESIGN.md §7 quotes the
+    /// disassembly): the loop's arms are small, and the wide ones (the
+    /// flag-setting ALU forms without an op of their own, the reference
+    /// lane) are out of line. Each op costs one dispatch and one check
+    /// against the stop cycle; a fused `subs`/`b<cond>` checks it between
+    /// its two instructions. State goes back to `self` only on a stop and
+    /// around the reference lane ([`Cpu::step`]), which runs the words
+    /// the loop does not specialise ([`Op::Generic`] whose condition
+    /// passes, [`Op::Fetch`]). [`Cpu::run_stepped`] loops over `step`
+    /// alone: the referee the tests hold this lane to.
     ///
     /// Generic over the port, so a concrete coprocessor (the kernel's
     /// `Rfu`) is called directly rather than through a vtable on every
@@ -249,7 +253,23 @@ impl Cpu {
             if cycles >= until_cycle {
                 break Stop::Quantum;
             }
-            match mem.op(pc) {
+            match *mem.op(pc) {
+                Op::MovImm { rd, imm } => {
+                    cycles += cost::DP;
+                    self.set_r(rd, imm);
+                }
+                Op::AddImm { rd, rn, imm } => {
+                    cycles += cost::DP;
+                    self.set_r(rd, self.r(rn).wrapping_add(imm));
+                }
+                Op::SubImm { rd, rn, imm } => {
+                    cycles += cost::DP;
+                    self.set_r(rd, self.r(rn).wrapping_sub(imm));
+                }
+                Op::AndImm { rd, rn, imm } => {
+                    cycles += cost::DP;
+                    self.set_r(rd, self.r(rn) & imm);
+                }
                 Op::DpImm { op, rd, rn, imm } => {
                     cycles += cost::DP;
                     let (value, writes_rd) = alu::exec_dp_value(op, self.r(rn), imm, self.cpsr.c);
@@ -257,77 +277,125 @@ impl Cpu {
                         self.set_r(rd, value);
                     }
                 }
-                Op::DpImmS { op, rd, rn, imm, carry } => {
+                Op::MovLsl { rd, rm, amount } => {
                     cycles += cost::DP;
-                    let shifter_carry = carry.unwrap_or(self.cpsr.c);
-                    let r = alu::exec_dp(op, self.r(rn), imm, shifter_carry, self.cpsr);
-                    self.cpsr = r.flags;
-                    if r.writes_rd {
-                        self.set_r(rd, r.value);
-                    }
+                    self.set_r(rd, self.r(rm) << amount);
+                }
+                Op::MovLsr { rd, rm, amount } => {
+                    cycles += cost::DP;
+                    self.set_r(rd, self.r(rm) >> amount);
+                }
+                Op::MovAsr { rd, rm, amount } => {
+                    cycles += cost::DP;
+                    self.set_r(rd, ((self.r(rm) as i32) >> amount) as u32);
+                }
+                Op::AddReg { rd, rn, rm, shift } => {
+                    cycles += cost::DP;
+                    self.set_r(rd, self.r(rn).wrapping_add(shifted(self.r(rm), shift)));
+                }
+                Op::AndReg { rd, rn, rm, shift } => {
+                    cycles += cost::DP;
+                    self.set_r(rd, self.r(rn) & shifted(self.r(rm), shift));
+                }
+                Op::OrrReg { rd, rn, rm, shift } => {
+                    cycles += cost::DP;
+                    self.set_r(rd, self.r(rn) | shifted(self.r(rm), shift));
+                }
+                Op::EorReg { rd, rn, rm, shift } => {
+                    cycles += cost::DP;
+                    self.set_r(rd, self.r(rn) ^ shifted(self.r(rm), shift));
                 }
                 Op::DpReg { op, rd, rn, rm, shift } => {
                     cycles += cost::DP;
-                    let (op2, _) = alu::barrel_shift(self.r(rm), shift, self.cpsr.c);
-                    let (value, writes_rd) = alu::exec_dp_value(op, self.r(rn), op2, self.cpsr.c);
+                    let (value, writes_rd) =
+                        alu::exec_dp_value(op, self.r(rn), shifted(self.r(rm), shift), self.cpsr.c);
                     if writes_rd {
                         self.set_r(rd, value);
                     }
                 }
+                Op::SubsImm { rd, rn, imm } => {
+                    cycles += cost::DP;
+                    let r = alu::exec_dp(DpOp::Sub, self.r(rn), imm, false, self.cpsr);
+                    self.cpsr = r.flags;
+                    self.set_r(rd, r.value);
+                }
+                Op::CmpImm { rn, imm } => {
+                    cycles += cost::DP;
+                    self.cpsr = alu::exec_dp(DpOp::Cmp, self.r(rn), imm, false, self.cpsr).flags;
+                }
+                Op::CmpReg { rn, rm, shift } => {
+                    cycles += cost::DP;
+                    let op2 = shifted(self.r(rm), shift);
+                    self.cpsr = alu::exec_dp(DpOp::Cmp, self.r(rn), op2, false, self.cpsr).flags;
+                }
+                Op::DpImmS { op, rd, rn, imm } => {
+                    cycles += cost::DP;
+                    self.exec_dp_s(op, rd, rn, imm, self.cpsr.c);
+                }
+                Op::DpImmSRot { op, rd, rn, imm } => {
+                    cycles += cost::DP;
+                    self.exec_dp_s(op, rd, rn, imm, imm >> 31 == 1);
+                }
                 Op::DpRegS { op, rd, rn, rm, shift } => {
                     cycles += cost::DP;
                     let (op2, shifter_carry) = alu::barrel_shift(self.r(rm), shift, self.cpsr.c);
-                    let r = alu::exec_dp(op, self.r(rn), op2, shifter_carry, self.cpsr);
-                    self.cpsr = r.flags;
-                    if r.writes_rd {
-                        self.set_r(rd, r.value);
-                    }
+                    self.exec_dp_s(op, rd, rn, op2, shifter_carry);
                 }
-                Op::Mul { s, rd, rm, rs, acc } => {
-                    let mut v = self.r(rm).wrapping_mul(self.r(rs));
-                    cycles += match acc {
-                        Some(rn) => {
-                            v = v.wrapping_add(self.r(rn));
-                            cost::MLA
-                        }
-                        None => cost::MUL,
-                    };
+                Op::Mul { s, rd, rm, rs } => {
+                    cycles += cost::MUL;
+                    let v = self.r(rm).wrapping_mul(self.r(rs));
                     self.set_r(rd, v);
                     if s {
                         self.cpsr.n = v >> 31 == 1;
                         self.cpsr.z = v == 0;
                     }
                 }
-                Op::Ldr { byte, rd, rn, delta, pre, writeback } => {
+                Op::Mla { s, rd, rm, rs, rn } => {
+                    cycles += cost::MLA;
+                    let v = self.r(rm).wrapping_mul(self.r(rs)).wrapping_add(self.r(rn));
+                    self.set_r(rd, v);
+                    if s {
+                        self.cpsr.n = v >> 31 == 1;
+                        self.cpsr.z = v == 0;
+                    }
+                }
+                Op::Ldr { rd, rn, mode, delta } => {
                     cycles += cost::LDR;
-                    let base = self.r(rn);
-                    let offsetted = base.wrapping_add(delta);
-                    let addr = if pre { offsetted } else { base };
-                    let loaded = if byte { mem.read_byte(addr).map(u32::from) } else { mem.read_word(addr) };
-                    match loaded {
+                    let (addr, base) = mode.apply(self.r(rn), delta);
+                    match mem.read_word(addr) {
                         Ok(v) => {
-                            if writeback {
-                                self.set_r(rn, offsetted);
-                            }
+                            self.set_r(rn, base);
                             self.set_r(rd, v);
                         }
                         Err(err) => break Stop::MemFault { err, pc },
                     }
                 }
-                Op::Str { byte, rd, rn, delta, pre, writeback } => {
+                Op::LdrB { rd, rn, mode, delta } => {
+                    cycles += cost::LDR;
+                    let (addr, base) = mode.apply(self.r(rn), delta);
+                    match mem.read_byte(addr) {
+                        Ok(v) => {
+                            self.set_r(rn, base);
+                            self.set_r(rd, u32::from(v));
+                        }
+                        Err(err) => break Stop::MemFault { err, pc },
+                    }
+                }
+                Op::Str { rd, rn, mode, delta } => {
                     cycles += cost::STR;
-                    let base = self.r(rn);
-                    let offsetted = base.wrapping_add(delta);
-                    let addr = if pre { offsetted } else { base };
-                    let v = self.r(rd);
-                    let stored =
-                        if byte { mem.write_byte(addr, (v & 0xFF) as u8) } else { mem.write_word(addr, v) };
-                    if let Err(err) = stored {
+                    let (addr, base) = mode.apply(self.r(rn), delta);
+                    if let Err(err) = mem.write_word(addr, self.r(rd)) {
                         break Stop::MemFault { err, pc };
                     }
-                    if writeback {
-                        self.set_r(rn, offsetted);
+                    self.set_r(rn, base);
+                }
+                Op::StrB { rd, rn, mode, delta } => {
+                    cycles += cost::STR;
+                    let (addr, base) = mode.apply(self.r(rn), delta);
+                    if let Err(err) = mem.write_byte(addr, self.r(rd) as u8) {
+                        break Stop::MemFault { err, pc };
                     }
+                    self.set_r(rn, base);
                 }
                 Op::LdrLit { rd, addr } => {
                     cycles += cost::LDR;
@@ -338,8 +406,8 @@ impl Cpu {
                 }
                 Op::Ldm { rn, regs, start, end, writeback } => {
                     let base = self.r(rn);
-                    let mut addr = base.wrapping_add(start);
-                    let mut list = regs;
+                    let mut addr = base.wrapping_add(start as u32);
+                    let (mut list, mut n) = (regs, 0);
                     while list != 0 {
                         match mem.read_word(addr) {
                             Ok(v) => self.set_r(list.trailing_zeros() as u8, v),
@@ -347,26 +415,28 @@ impl Cpu {
                         }
                         list &= list - 1;
                         addr = addr.wrapping_add(4);
+                        n += 1;
                     }
-                    cycles += cost::LDM_BASE + u64::from(regs.count_ones());
+                    cycles += cost::LDM_BASE + n;
                     if writeback {
-                        self.set_r(rn, base.wrapping_add(end));
+                        self.set_r(rn, base.wrapping_add(end as u32));
                     }
                 }
                 Op::Stm { rn, regs, start, end, writeback } => {
                     let base = self.r(rn);
-                    let mut addr = base.wrapping_add(start);
-                    let mut list = regs;
+                    let mut addr = base.wrapping_add(start as u32);
+                    let (mut list, mut n) = (regs, 0);
                     while list != 0 {
                         if let Err(err) = mem.write_word(addr, self.r(list.trailing_zeros() as u8)) {
                             break 'run Stop::MemFault { err, pc };
                         }
                         list &= list - 1;
                         addr = addr.wrapping_add(4);
+                        n += 1;
                     }
-                    cycles += cost::STM_BASE + u64::from(regs.count_ones());
+                    cycles += cost::STM_BASE + n;
                     if writeback {
-                        self.set_r(rn, base.wrapping_add(end));
+                        self.set_r(rn, base.wrapping_add(end as u32));
                     }
                 }
                 Op::Branch { cond, link, target } => {
@@ -377,6 +447,25 @@ impl Cpu {
                         }
                         cycles += cost::BRANCH_TAKEN;
                         pc = target;
+                        continue;
+                    }
+                    cycles += cost::COND_FAIL;
+                }
+                Op::SubsBranch { rd, rn, imm, cond, offset } => {
+                    cycles += cost::DP;
+                    let r = alu::exec_dp(DpOp::Sub, self.r(rn), u32::from(imm), false, self.cpsr);
+                    self.cpsr = r.flags;
+                    self.set_r(rd, r.value);
+                    // The branch is an instruction of its own: the budget
+                    // may end before it, as it does for `run_stepped`.
+                    pc = pc.wrapping_add(4);
+                    if cycles >= until_cycle {
+                        break Stop::Quantum;
+                    }
+                    let c = r.flags;
+                    if cond.passes(c.n, c.z, c.c, c.v) {
+                        cycles += cost::BRANCH_TAKEN;
+                        pc = pc.wrapping_add(offset as u32);
                         continue;
                     }
                     cycles += cost::COND_FAIL;
@@ -444,9 +533,9 @@ impl Cpu {
                 op @ (Op::Generic { .. } | Op::Fetch) => {
                     // `exec`'s condition test, inline: a failed condition
                     // costs one cycle and no call.
-                    if let Op::Generic { word, instr } = op {
+                    if let Op::Generic { cond } = op {
                         let c = self.cpsr;
-                        if word >> 28 != Cond::Al as u32 && !instr.cond().passes(c.n, c.z, c.c, c.v) {
+                        if !cond.passes(c.n, c.z, c.c, c.v) {
                             cycles += cost::COND_FAIL;
                             pc = pc.wrapping_add(4);
                             continue;
@@ -455,10 +544,7 @@ impl Cpu {
                     let depth = self.soft_depth;
                     self.regs[15] = pc;
                     self.cycles = cycles;
-                    let stop = match op {
-                        Op::Generic { word, instr } => self.exec(mem, coproc, until_cycle, pc, word, instr),
-                        _ => self.step(mem, coproc, until_cycle),
-                    };
+                    let stop = self.step(mem, coproc, until_cycle);
                     pc = self.regs[15];
                     cycles = self.cycles;
                     // An instruction that starts inside a handler is
@@ -483,6 +569,18 @@ impl Cpu {
             self.mix.soft_dispatch += cycles - soft_since;
         }
         stop
+    }
+
+    /// The flag-setting data-processing ops without an op of their own,
+    /// for [`Cpu::run`]. Out of line: their sixteen-way flag logic would
+    /// take registers the loop keeps its state in.
+    #[inline(never)]
+    fn exec_dp_s(&mut self, op: DpOp, rd: u8, rn: u8, op2: u32, shifter_carry: bool) {
+        let r = alu::exec_dp(op, self.r(rn), op2, shifter_carry, self.cpsr);
+        self.cpsr = r.flags;
+        if r.writes_rd {
+            self.set_r(rd, r.value);
+        }
     }
 
     /// [`Cpu::run`]'s contract, met by stepping the uncached reference
@@ -520,7 +618,8 @@ impl Cpu {
     /// Execute one instruction through the reference lane: read the word
     /// at the PC, decode it, run it, with no cache involved. Returns
     /// `Some(stop)` if it raised an exception (see [`Cpu::run`] for PC
-    /// conventions).
+    /// conventions). [`Cpu::run`] calls it for every word it does not
+    /// specialise.
     pub fn step<C: Coprocessor + ?Sized>(
         &mut self,
         mem: &mut Memory,
@@ -540,11 +639,8 @@ impl Cpu {
 
     /// The reference execute body: run the decoded `instr` (encoded as
     /// `word`) at `pc` against `self`, including the PC. Out of line, so
-    /// the reference ISA's code stays out of [`Cpu::run`]'s loop. That
-    /// does not keep the loop's locals in registers: in the release build
-    /// the loop is inlined into the kernel's `advance_until`, and there
-    /// the cycle count goes through a stack slot on every op (DESIGN.md
-    /// §7).
+    /// the reference ISA's code stays out of [`Cpu::run`]'s loop and its
+    /// registers.
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     fn exec<C: Coprocessor + ?Sized>(
@@ -798,6 +894,19 @@ impl Cpu {
         }
         self.regs[15] = next_pc;
         None
+    }
+}
+
+/// The value of a barrel shift, for an op that does not set flags: at
+/// amount 0 every kind passes the value through, so no special case.
+#[inline(always)]
+fn shifted(value: u32, shift: Shift) -> u32 {
+    let amount = u32::from(shift.amount);
+    match shift.kind {
+        ShiftKind::Lsl => value << amount,
+        ShiftKind::Lsr => value >> amount,
+        ShiftKind::Asr => ((value as i32) >> amount) as u32,
+        ShiftKind::Ror => value.rotate_right(amount),
     }
 }
 
@@ -1115,6 +1224,6 @@ mod tests {
         let (stop, cpu, mem) = lanes_agree(&cpu, &mem, u64::MAX);
         assert_eq!(stop, Stop::Swi { imm: 0 });
         assert_eq!(cpu.reg(0), 55);
-        assert_eq!(mem.op(0x10_0000), crate::op::Op::Fetch);
+        assert_eq!(*mem.op(0x10_0000), crate::op::Op::Fetch);
     }
 }

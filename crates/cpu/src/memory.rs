@@ -49,8 +49,8 @@ impl Error for MemError {}
 ///
 /// Carries one compiled [`Op`] per word of low memory so the interpreter
 /// compiles each instruction once, on its first execution; any store into
-/// a word resets its op to [`Op::Empty`] (self-modifying code stays
-/// correct).
+/// a word resets its op, and a fused op that reads the word, to
+/// [`Op::Empty`] (self-modifying code stays correct).
 #[derive(Debug, Clone)]
 pub struct Memory {
     bytes: Vec<u8>,
@@ -92,33 +92,63 @@ impl Memory {
     /// not (or no longer) seen, [`Op::Fetch`] for any address the array
     /// does not cover.
     #[inline(always)]
-    pub(crate) fn op(&self, pc: u32) -> Op {
-        if pc.is_multiple_of(4) {
-            let idx = (pc / 4) as usize;
-            if let Some(&op) = self.ops.get(idx) {
-                return op;
-            }
-            if idx < self.op_limit() {
-                return Op::Empty;
-            }
+    pub(crate) fn op(&self, pc: u32) -> &Op {
+        // Rotating moves a misaligned PC's low bits to the top, so one
+        // bounds check also rejects it.
+        let idx = pc.rotate_right(2) as usize;
+        match self.ops.get(idx) {
+            Some(op) => op,
+            None => self.uncovered(idx),
         }
-        Op::Fetch
+    }
+
+    /// [`Memory::op`] for a rotated PC outside the op array.
+    #[cold]
+    fn uncovered(&self, idx: usize) -> &'static Op {
+        if idx < self.op_limit() {
+            &Op::Empty
+        } else {
+            &Op::Fetch
+        }
     }
 
     /// Compile the word at `pc`, for which [`Memory::op`] returned
     /// [`Op::Empty`], into its slot: afterwards `op(pc)` is never
-    /// `Empty`. An undecodable word compiles to [`Op::Fetch`].
+    /// `Empty`. An undecodable word compiles to [`Op::Fetch`]. A `subs`
+    /// that [`Op::fuse`] pairs with the word after it compiles to the
+    /// fused op, and the array then covers that second word too, so a
+    /// store into it finds the slot before it (see [`Memory::reset_op`]).
     #[cold]
     #[inline(never)]
     pub(crate) fn compile(&mut self, pc: u32) {
         let idx = (pc / 4) as usize;
         debug_assert!(pc.is_multiple_of(4) && idx < self.op_limit(), "no op slot for {pc:#x}");
         let word = self.read_word(pc).expect("op slots cover only readable words");
-        let op = decode(word).map_or(Op::Fetch, |instr| Op::compile(pc, word, instr));
-        if idx >= self.ops.len() {
-            self.ops.resize(idx + 1, Op::Empty);
+        let mut op = decode(word).map_or(Op::Fetch, |instr| Op::compile(pc, instr));
+        let mut len = idx + 1;
+        if idx + 1 < self.op_limit() {
+            let next = self.read_word(pc + 4).ok().and_then(|w| decode(w).ok());
+            if let Some(fused) = next.and_then(|next| op.fuse(next)) {
+                op = fused;
+                len = idx + 2;
+            }
+        }
+        if len > self.ops.len() {
+            self.ops.resize(len, Op::Empty);
         }
         self.ops[idx] = op;
+    }
+
+    /// Reset the op of word `w` after a store into it, and the fused op
+    /// of the word before it, which reads `w` as its second word.
+    #[inline(always)]
+    fn reset_op(&mut self, w: usize) {
+        if w < self.ops.len() {
+            self.ops[w] = Op::Empty;
+            if w > 0 && matches!(self.ops[w - 1], Op::SubsBranch { .. }) {
+                self.ops[w - 1] = Op::Empty;
+            }
+        }
     }
 
     /// Size in bytes.
@@ -165,9 +195,7 @@ impl Memory {
             Some(word) => *word = value.to_le_bytes(),
             None => return Err(MemError::OutOfRange { addr, size: self.size() }),
         }
-        if let Some(slot) = self.ops.get_mut(addr as usize / 4) {
-            *slot = Op::Empty;
-        }
+        self.reset_op(addr as usize / 4);
         Ok(())
     }
 
@@ -191,9 +219,7 @@ impl Memory {
     pub fn write_byte(&mut self, addr: u32, value: u8) -> Result<(), MemError> {
         let i = self.check(addr, 1)?;
         self.bytes[i] = value;
-        if let Some(slot) = self.ops.get_mut(i / 4) {
-            *slot = Op::Empty;
-        }
+        self.reset_op(i / 4);
         Ok(())
     }
 
@@ -206,9 +232,7 @@ impl Memory {
         let i = self.check(addr, data.len() as u32)?;
         self.bytes[i..i + data.len()].copy_from_slice(data);
         for w in i / 4..(i + data.len()).div_ceil(4) {
-            if let Some(slot) = self.ops.get_mut(w) {
-                *slot = Op::Empty;
-            }
+            self.reset_op(w);
         }
         Ok(())
     }
@@ -269,28 +293,27 @@ mod tests {
         let p = proteus_isa::assemble("mov r0, #1\n swi #3\n .word 0xFFFFFFFF\n").expect("asm");
         let mut m = Memory::new(1024);
         m.load_program(&p).expect("load");
-        assert_eq!(m.op(0), Op::Empty, "nothing is compiled before its first execution");
+        assert_eq!(*m.op(0), Op::Empty, "nothing is compiled before its first execution");
         m.compile(0);
-        assert!(matches!(m.op(0), Op::DpImm { rd: 0, imm: 1, .. }), "{:?}", m.op(0));
-        // A generic op reports the true encoding, an undecodable word
+        assert_eq!(*m.op(0), Op::MovImm { rd: 0, imm: 1 });
+        // A generic op keeps only the condition, an undecodable word
         // compiles to the reference fetch.
         m.compile(4);
-        let word = m.read_word(4).expect("read");
-        assert_eq!(m.op(4), Op::Generic { word, instr: decode(word).expect("decodes") });
+        assert_eq!(*m.op(4), Op::Generic { cond: proteus_isa::Cond::Al });
         m.compile(8);
-        assert_eq!(m.op(8), Op::Fetch);
+        assert_eq!(*m.op(8), Op::Fetch);
         // Word, byte and slice stores reset the ops they touch, and only
         // those.
         m.write_word(0, 0).expect("write");
-        assert_eq!(m.op(0), Op::Empty);
-        assert_ne!(m.op(4), Op::Empty);
+        assert_eq!(*m.op(0), Op::Empty);
+        assert_ne!(*m.op(4), Op::Empty);
         m.write_byte(7, 0xEF).expect("write");
-        assert_eq!(m.op(4), Op::Empty);
+        assert_eq!(*m.op(4), Op::Empty);
         m.write_bytes(10, &[0]).expect("write");
-        assert_eq!(m.op(8), Op::Empty);
+        assert_eq!(*m.op(8), Op::Empty);
         // Unaligned and uncovered addresses take the reference fetch.
-        assert_eq!(m.op(2), Op::Fetch);
-        assert_eq!(m.op(1024), Op::Fetch);
+        assert_eq!(*m.op(2), Op::Fetch);
+        assert_eq!(*m.op(1024), Op::Fetch);
     }
 
     #[test]

@@ -192,15 +192,12 @@ impl Coprocessor for Rfu {
     /// software handler, else a fault to the OS. This function alone
     /// decides the empty-slot, watchdog and runaway outcomes;
     /// [`PfuArray::run`] alone runs the §4.4 status-register protocol.
-    /// Both it and [`Cam::lookup`] are inlined here, so a TLB1 hit makes
-    /// one out-of-line call, the circuit's `run_clocks`.
-    ///
-    /// This body stays out of the interpreter loop that calls it. Whether
-    /// that is the faster layout is not settled (DESIGN.md §7 has the
-    /// numbers): 10 s perfbench runs put a build with this body inlined
-    /// into the loop at `hw_contended` ≈ 28 against 24.8 out of line
-    /// (median `batch_time_ref`), while later 30 s runs on the same kind
-    /// of host put the same two layouts at 25.3 against 27.3.
+    /// Both it and [`Cam::lookup`] are inlined here, and this body is
+    /// inlined into the interpreter loop that calls it, so a TLB1 hit
+    /// makes one out-of-line call, the circuit's `run_clocks`. Alternating
+    /// 30 s perfbench runs put the inlined layout ahead of an out-of-line
+    /// one on all three workloads (DESIGN.md §7 has the numbers).
+    #[inline(always)]
     fn exec_custom(
         &mut self,
         pid: u32,
