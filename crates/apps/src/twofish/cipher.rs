@@ -54,7 +54,12 @@ impl Twofish {
 
     /// Encrypt one 16-byte block.
     pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let w = Self::load(block);
+        Self::store(self.encrypt_words(Self::load(block)))
+    }
+
+    /// Encrypt one block held as four little-endian words, the form the
+    /// block circuit latches and the guest program stores.
+    pub fn encrypt_words(&self, w: [u32; 4]) -> [u32; 4] {
         let k = &self.ks.k;
         // Input whitening.
         let mut r = [w[0] ^ k[0], w[1] ^ k[1], w[2] ^ k[2], w[3] ^ k[3]];
@@ -68,8 +73,7 @@ impl Twofish {
             r = [new2, new3, r[0], r[1]];
         }
         // Undo the last swap, output whitening.
-        let out = [r[2] ^ k[4], r[3] ^ k[5], r[0] ^ k[6], r[1] ^ k[7]];
-        Self::store(out)
+        [r[2] ^ k[4], r[3] ^ k[5], r[0] ^ k[6], r[1] ^ k[7]]
     }
 
     /// Decrypt one 16-byte block.

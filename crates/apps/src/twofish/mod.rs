@@ -2,10 +2,13 @@
 //! implementation, built from the specification.
 //!
 //! The cipher is one of the paper's three workloads. In the accelerated
-//! guest program the key-dependent **g function** (S-boxes + MDS) runs as
-//! a custom instruction — the classic FPGA acceleration target, with the
-//! key schedule baked into the configuration like a key-specialised
-//! bitstream — while the Feistel structure stays in software.
+//! guest program the whole block encryption (whitening, 16 Feistel
+//! rounds over the key-dependent g function, whitening) is one custom
+//! instruction, [`BlockCircuit`], with the key schedule baked into the
+//! configuration like a key-specialised bitstream and the block fed
+//! through a five-invocation phase protocol. The software guest and the
+//! circuit's software alternative run the same rounds from embedded g
+//! tables.
 
 mod block_circuit;
 mod cipher;
