@@ -64,7 +64,6 @@ pub mod library;
 pub mod netlist;
 pub mod place;
 pub mod sim;
-pub mod synth;
 pub mod validate;
 
 pub use bitstream::{Bitstream, CONFIG_BYTES_PER_CLB};
