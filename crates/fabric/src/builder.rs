@@ -179,36 +179,19 @@ impl NetlistBuilder {
         self.lut3(sel, a, b, |s, x, y| if s { y } else { x })
     }
 
-    /// AND-reduce a slice of bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is empty.
-    pub fn and_reduce(&mut self, bits: &[NodeId]) -> NodeId {
-        self.reduce(bits, |b, x, y| b.and2(x, y))
-    }
-
     /// OR-reduce a slice of bits.
     ///
     /// # Panics
     ///
     /// Panics if `bits` is empty.
     pub fn or_reduce(&mut self, bits: &[NodeId]) -> NodeId {
-        self.reduce(bits, |b, x, y| b.or2(x, y))
-    }
-
-    fn reduce<F: Fn(&mut Self, NodeId, NodeId) -> NodeId>(
-        &mut self,
-        bits: &[NodeId],
-        f: F,
-    ) -> NodeId {
         assert!(!bits.is_empty(), "cannot reduce an empty bus");
         // Balanced tree keeps combinational depth logarithmic.
         let mut layer: Vec<NodeId> = bits.to_vec();
         while layer.len() > 1 {
             let mut next = Vec::with_capacity(layer.len().div_ceil(2));
             for pair in layer.chunks(2) {
-                next.push(if pair.len() == 2 { f(self, pair[0], pair[1]) } else { pair[0] });
+                next.push(if pair.len() == 2 { self.or2(pair[0], pair[1]) } else { pair[0] });
             }
             layer = next;
         }
@@ -220,26 +203,6 @@ impl NetlistBuilder {
     /// Bitwise NOT of a bus.
     pub fn not_bus(&mut self, a: &[NodeId]) -> Vec<NodeId> {
         a.iter().map(|&x| self.not(x)).collect()
-    }
-
-    /// Bitwise AND of two equal-width buses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths differ.
-    pub fn and_bus(&mut self, a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
-        assert_eq!(a.len(), b.len(), "bus width mismatch");
-        a.iter().zip(b).map(|(&x, &y)| self.and2(x, y)).collect()
-    }
-
-    /// Bitwise OR of two equal-width buses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths differ.
-    pub fn or_bus(&mut self, a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
-        assert_eq!(a.len(), b.len(), "bus width mismatch");
-        a.iter().zip(b).map(|(&x, &y)| self.or2(x, y)).collect()
     }
 
     /// Bitwise XOR of two equal-width buses.
@@ -423,72 +386,6 @@ impl NetlistBuilder {
         dff_ids
     }
 
-    /// Variable logical right shift: `a >> amount`, where `amount` is a
-    /// bus of selector bits (barrel shifter: one mux stage per bit).
-    pub fn shr_var(&mut self, a: &[NodeId], amount: &[NodeId]) -> Vec<NodeId> {
-        let mut cur = a.to_vec();
-        for (stage, &sel) in amount.iter().enumerate() {
-            let shifted = self.shr_const(&cur, 1 << stage);
-            cur = self.mux_bus(sel, &cur, &shifted);
-        }
-        cur
-    }
-
-    /// Variable logical left shift (barrel shifter).
-    pub fn shl_var(&mut self, a: &[NodeId], amount: &[NodeId]) -> Vec<NodeId> {
-        let mut cur = a.to_vec();
-        for (stage, &sel) in amount.iter().enumerate() {
-            let shifted = self.shl_const(&cur, 1 << stage);
-            cur = self.mux_bus(sel, &cur, &shifted);
-        }
-        cur
-    }
-
-    /// Variable rotate right (barrel rotator).
-    pub fn ror_var(&mut self, a: &[NodeId], amount: &[NodeId]) -> Vec<NodeId> {
-        let n = a.len();
-        let mut cur = a.to_vec();
-        for (stage, &sel) in amount.iter().enumerate() {
-            let k = (1 << stage) % n;
-            let rotated: Vec<NodeId> = (0..n).map(|i| cur[(i + k) % n]).collect();
-            cur = self.mux_bus(sel, &cur, &rotated);
-        }
-        cur
-    }
-
-    /// Reverse the bit order of a bus (free — pure wiring).
-    pub fn bit_reverse(&mut self, a: &[NodeId]) -> Vec<NodeId> {
-        a.iter().rev().copied().collect()
-    }
-
-    /// Gray-code encode: `a ^ (a >> 1)`.
-    pub fn gray_encode(&mut self, a: &[NodeId]) -> Vec<NodeId> {
-        let shifted = self.shr_const(a, 1);
-        self.xor_bus(a, &shifted)
-    }
-
-    /// Unsigned maximum of two equal-width buses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths differ.
-    pub fn max(&mut self, a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
-        let a_lt_b = self.less_than(a, b);
-        self.mux_bus(a_lt_b, a, b)
-    }
-
-    /// Absolute difference `|a - b|` of two equal-width unsigned buses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths differ.
-    pub fn abs_diff(&mut self, a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
-        let a_lt_b = self.less_than(a, b);
-        let amb = self.sub(a, b);
-        let bma = self.sub(b, a);
-        self.mux_bus(a_lt_b, &amb, &bma)
-    }
-
     /// Rewire an already-allocated DFF's `d` input — used to close feedback
     /// loops that were allocated with a placeholder.
     ///
@@ -648,51 +545,6 @@ mod tests {
         sim.clock_edge();
         sim.settle();
         assert_eq!(sim.output("result"), frozen);
-    }
-
-    #[test]
-    fn barrel_shifts_match() {
-        for (a, amt) in [(0xF0F0u64, 4u64), (0xFFFF, 0), (0x8001, 15), (0x1234, 7)] {
-            let got = eval2(
-                |bld, x, y| bld.shr_var(&x, &y[..4]),
-                16,
-                a,
-                amt,
-            );
-            assert_eq!(got, a >> amt, "a={a:#x} amt={amt}");
-            let got = eval2(
-                |bld, x, y| bld.shl_var(&x, &y[..4]),
-                16,
-                a,
-                amt,
-            );
-            assert_eq!(got, (a << amt) & 0xFFFF, "a={a:#x} amt={amt}");
-            let got = eval2(
-                |bld, x, y| bld.ror_var(&x, &y[..4]),
-                16,
-                a,
-                amt,
-            );
-            assert_eq!(got, u64::from((a as u16).rotate_right(amt as u32)), "a={a:#x} amt={amt}");
-        }
-    }
-
-    #[test]
-    fn gray_and_reverse_match() {
-        let a = 0b1011_0010u64;
-        assert_eq!(eval2(|bld, x, _| bld.gray_encode(&x), 8, a, 0), a ^ (a >> 1));
-        assert_eq!(
-            eval2(|bld, x, _| bld.bit_reverse(&x), 8, a, 0),
-            u64::from((a as u8).reverse_bits())
-        );
-    }
-
-    #[test]
-    fn max_and_abs_diff_match() {
-        for (a, b) in [(3u64, 200u64), (200, 3), (7, 7), (0, 255)] {
-            assert_eq!(eval2(|bld, x, y| bld.max(&x, &y), 8, a, b), a.max(b));
-            assert_eq!(eval2(|bld, x, y| bld.abs_diff(&x, &y), 8, a, b), a.abs_diff(b));
-        }
     }
 
     #[test]

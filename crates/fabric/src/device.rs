@@ -72,11 +72,6 @@ impl Device {
         self.dims
     }
 
-    /// Whether a configuration is currently loaded.
-    pub fn is_configured(&self) -> bool {
-        self.loaded.is_some()
-    }
-
     /// Load a full configuration (static + initial state frames).
     ///
     /// The bitstream is validated first — see [`validate::validate`] — so a

@@ -32,56 +32,6 @@ pub fn adder32() -> Result<Netlist, FabricError> {
     b.finish()
 }
 
-/// Combinational 32-bit XOR (1 cycle).
-///
-/// # Errors
-///
-/// Never fails in practice.
-pub fn xor32() -> Result<Netlist, FabricError> {
-    let mut b = NetlistBuilder::new();
-    let a = b.input_bus("op_a", 32);
-    let c = b.input_bus("op_b", 32);
-    let x = b.xor_bus(&a, &c);
-    b.output_bus("result", &x);
-    let one = b.const_bit(true);
-    b.output_bit("done", one);
-    b.finish()
-}
-
-/// Combinational population count of `op_a` (1 cycle).
-///
-/// # Errors
-///
-/// Never fails in practice.
-pub fn popcount32() -> Result<Netlist, FabricError> {
-    let mut b = NetlistBuilder::new();
-    let a = b.input_bus("op_a", 32);
-    let _ = b.input_bus("op_b", 32);
-    let p = b.popcount(&a);
-    let p32 = b.resize(&p, 32);
-    b.output_bus("result", &p32);
-    let one = b.const_bit(true);
-    b.output_bit("done", one);
-    b.finish()
-}
-
-/// Combinational 8×8 multiplier on the low bytes (1 cycle).
-///
-/// # Errors
-///
-/// Never fails in practice.
-pub fn multiplier8x8() -> Result<Netlist, FabricError> {
-    let mut b = NetlistBuilder::new();
-    let a = b.input_bus("op_a", 32);
-    let c = b.input_bus("op_b", 32);
-    let m = b.mul(&a[..8], &c[..8]);
-    let m32 = b.resize(&m, 32);
-    b.output_bus("result", &m32);
-    let one = b.const_bit(true);
-    b.output_bit("done", one);
-    b.finish()
-}
-
 /// Stateful accumulator: each invocation adds `op_a` into an internal
 /// 32-bit register and returns the new total (1 cycle). The register is
 /// *circuit state* — exactly the data the OS must move via state frames
@@ -104,101 +54,6 @@ pub fn accumulator32() -> Result<Netlist, FabricError> {
     let one = b.const_bit(true);
     b.output_bit("done", one);
     b.finish()
-}
-
-/// Combinational barrel shifter: `result = op_a >> (op_b & 31)` (1 cycle).
-///
-/// # Errors
-///
-/// Never fails in practice.
-pub fn barrel_shifter32() -> Result<Netlist, FabricError> {
-    let mut b = NetlistBuilder::new();
-    let a = b.input_bus("op_a", 32);
-    let c = b.input_bus("op_b", 32);
-    let out = b.shr_var(&a, &c[..5]);
-    b.output_bus("result", &out);
-    let one = b.const_bit(true);
-    b.output_bit("done", one);
-    b.finish()
-}
-
-/// Combinational Gray-code encoder of `op_a` (1 cycle).
-///
-/// # Errors
-///
-/// Never fails in practice.
-pub fn gray32() -> Result<Netlist, FabricError> {
-    let mut b = NetlistBuilder::new();
-    let a = b.input_bus("op_a", 32);
-    let _ = b.input_bus("op_b", 32);
-    let g = b.gray_encode(&a);
-    b.output_bus("result", &g);
-    let one = b.const_bit(true);
-    b.output_bit("done", one);
-    b.finish()
-}
-
-/// Sum of absolute byte differences between the four lanes of the two
-/// operands (the video-codec SAD kernel; 1 cycle).
-///
-/// # Errors
-///
-/// Never fails in practice.
-pub fn sad4x8() -> Result<Netlist, FabricError> {
-    let mut b = NetlistBuilder::new();
-    let a = b.input_bus("op_a", 32);
-    let c = b.input_bus("op_b", 32);
-    let zero = b.const_bit(false);
-    let mut acc = vec![zero; 10];
-    for lane in 0..4 {
-        let d = b.abs_diff(&a[8 * lane..8 * lane + 8], &c[8 * lane..8 * lane + 8]);
-        let d10 = b.resize(&d, 10);
-        acc = b.add(&acc, &d10);
-    }
-    let out = b.resize(&acc, 32);
-    b.output_bus("result", &out);
-    let one = b.const_bit(true);
-    b.output_bit("done", one);
-    b.finish()
-}
-
-/// A 32-bit Fibonacci LFSR (taps 32, 22, 2, 1): each invocation advances
-/// the register once and returns the new value. The seed is the
-/// configuration's initial state, so two instances of the same bitstream
-/// produce identical streams — and state frames carry the position.
-///
-/// # Errors
-///
-/// Never fails in practice.
-pub fn lfsr32(seed: u32) -> Result<Netlist, FabricError> {
-    let mut b = NetlistBuilder::new();
-    let _ = b.input_bus("op_a", 32);
-    let _ = b.input_bus("op_b", 32);
-    let _init = b.input_bit("init");
-    let state: Vec<_> =
-        (0..32).map(|i| b.dff_placeholder(seed >> i & 1 == 1)).collect();
-    // Feedback from taps 32, 22, 2, 1 (1-indexed from the output end).
-    let t1 = b.xor2(state[31], state[21]);
-    let t2 = b.xor2(state[1], state[0]);
-    let fb = b.xor2(t1, t2);
-    // Shift left by one, feedback into bit 0.
-    for i in (1..32).rev() {
-        b.set_dff_input(state[i], state[i - 1]);
-    }
-    b.set_dff_input(state[0], fb);
-    // Result: the post-shift value (recompute combinationally).
-    let mut next = vec![fb];
-    next.extend_from_slice(&state[..31]);
-    b.output_bus("result", &next);
-    let one = b.const_bit(true);
-    b.output_bit("done", one);
-    b.finish()
-}
-
-/// Host-side reference for [`lfsr32`].
-pub fn lfsr32_ref(state: u32) -> u32 {
-    let fb = (state >> 31 ^ state >> 21 ^ state >> 1 ^ state) & 1;
-    (state << 1) | fb
 }
 
 /// Arithmetic reference for the alpha-blend custom instruction.
@@ -300,24 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn popcount32_matches_count_ones() {
-        let mut dev = load(&popcount32().expect("netlist"));
-        for v in [0u32, 1, 0xFFFF_FFFF, 0xDEAD_BEEF, 0x8000_0001] {
-            let (r, _) = dev.run_instruction(v, 0, 4).expect("run");
-            assert_eq!(r, v.count_ones(), "v={v:#x}");
-        }
-    }
-
-    #[test]
-    fn multiplier_matches() {
-        let mut dev = load(&multiplier8x8().expect("netlist"));
-        for (a, b) in [(0u32, 0u32), (255, 255), (13, 17)] {
-            let (r, _) = dev.run_instruction(a, b, 4).expect("run");
-            assert_eq!(r, a * b);
-        }
-    }
-
-    #[test]
     fn accumulator_keeps_state_across_invocations() {
         let mut dev = load(&accumulator32().expect("netlist"));
         let mut total = 0u32;
@@ -345,58 +182,6 @@ mod tests {
             assert_eq!(cycles, 2, "blend is a 2-cycle instruction");
             assert_eq!(r as u8, alpha_blend_ref(a, b, alpha), "a={a} b={b} alpha={alpha}");
         }
-    }
-
-    #[test]
-    fn barrel_shifter_matches() {
-        let mut dev = load(&barrel_shifter32().expect("netlist"));
-        for (a, amt) in [(0xDEAD_BEEFu32, 0u32), (0xDEAD_BEEF, 31), (0x8000_0000, 4), (1, 16)] {
-            let (r, _) = dev.run_instruction(a, amt, 4).expect("run");
-            assert_eq!(r, a >> amt, "a={a:#x} amt={amt}");
-        }
-    }
-
-    #[test]
-    fn gray32_matches() {
-        let mut dev = load(&gray32().expect("netlist"));
-        for a in [0u32, 1, 0xFFFF_FFFF, 0x1234_5678] {
-            let (r, _) = dev.run_instruction(a, 0, 4).expect("run");
-            assert_eq!(r, a ^ (a >> 1));
-        }
-    }
-
-    #[test]
-    fn sad_matches() {
-        let mut dev = load(&sad4x8().expect("netlist"));
-        for (a, b) in [(0x0102_0304u32, 0x0401_0203u32), (0xFF00_FF00, 0x00FF_00FF), (7, 7)] {
-            let expect: u32 = a
-                .to_le_bytes()
-                .iter()
-                .zip(&b.to_le_bytes())
-                .map(|(&x, &y)| u32::from(x.abs_diff(y)))
-                .sum();
-            let (r, _) = dev.run_instruction(a, b, 4).expect("run");
-            assert_eq!(r, expect, "a={a:#x} b={b:#x}");
-        }
-    }
-
-    #[test]
-    fn lfsr_matches_reference_and_state_travels() {
-        let seed = 0xACE1_u32 | 0x5eed_0000;
-        let mut dev = load(&lfsr32(seed).expect("netlist"));
-        let mut state = seed;
-        for _ in 0..16 {
-            state = lfsr32_ref(state);
-            let (r, _) = dev.run_instruction(0, 0, 4).expect("run");
-            assert_eq!(r, state);
-        }
-        // Swap the stream out and back in: it must continue, not restart.
-        let saved = dev.save_state().expect("save");
-        let next_direct = lfsr32_ref(state);
-        let mut dev2 = load(&lfsr32(seed).expect("netlist"));
-        dev2.load_state(&saved).expect("restore");
-        let (r, _) = dev2.run_instruction(0, 0, 4).expect("run");
-        assert_eq!(r, next_direct, "stream resumed mid-sequence");
     }
 
     #[test]
