@@ -15,5 +15,8 @@
 //!   throughput and a `cycle_breakdown` section, and `--trace
 //!   alpha|echo|twofish` dumps a JSON-lines event timeline
 //!   (`trace_<scenario>.jsonl`);
-//! * Criterion benches (`cargo bench`) time the figure plans at several
-//!   worker counts plus the substrate microbenchmarks.
+//! * the Criterion bench `micro_components` (`cargo bench -p
+//!   proteus-bench --bench micro_components`) times the substrate pieces
+//!   the experiments are built from: ISA decode, interpretation, fabric
+//!   compile and load, Twofish, hardware dispatch, TLB lookup and context
+//!   switches.

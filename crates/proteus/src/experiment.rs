@@ -75,7 +75,7 @@ impl Scale {
         Self { target_cycles: 15_000_000, max_instances: 8, seed: 2003 }
     }
 
-    /// Reduced scale for CI and Criterion benches.
+    /// Reduced scale for CI (`repro --quick`).
     pub fn quick() -> Self {
         Self { target_cycles: 1_500_000, max_instances: 4, seed: 2003 }
     }
