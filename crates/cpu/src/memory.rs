@@ -237,16 +237,6 @@ impl Memory {
         Ok(())
     }
 
-    /// Read `len` bytes starting at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::OutOfRange`].
-    pub fn read_bytes(&self, addr: u32, len: u32) -> Result<&[u8], MemError> {
-        let i = self.check(addr, len)?;
-        Ok(&self.bytes[i..i + len as usize])
-    }
-
     /// Load an assembled [`Program`] at its origin address.
     ///
     /// # Errors
