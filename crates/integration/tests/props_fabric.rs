@@ -129,4 +129,51 @@ proptest! {
             prop_assert_eq!(r, total);
         }
     }
+
+    /// Registers start from the configuration's initial state bit for bit,
+    /// and saved state resumes in a second device loaded from the same
+    /// deserialised bitstream.
+    #[test]
+    fn register_init_runs_and_state_moves_between_devices(
+        init in any::<u32>(),
+        adds in proptest::collection::vec(any::<u32>(), 2..12),
+        cut in 0usize..10,
+    ) {
+        let mut b = NetlistBuilder::new();
+        let a = b.input_bus("op_a", 32);
+        let _ = b.input_bus("op_b", 32);
+        let _ = b.input_bit("init");
+        let acc: Vec<_> = (0..32).map(|i| b.dff_placeholder(init >> i & 1 == 1)).collect();
+        let sum = b.add(&acc, &a);
+        for (d, s) in acc.iter().zip(&sum) {
+            b.set_dff_input(*d, *s);
+        }
+        b.output_bus("result", &sum);
+        let one = b.const_bit(true);
+        b.output_bit("done", one);
+        let netlist = b.finish().expect("netlist");
+        let words = compile(&netlist, FabricDims::PFU).expect("compile").bitstream().to_words();
+        let bitstream = Bitstream::from_words(&words).expect("deserialise");
+        let mut dev = Device::new(FabricDims::PFU);
+        dev.load(&bitstream).expect("load");
+
+        let (r, _) = dev.run_instruction(adds[0], 0, 4).expect("run");
+        prop_assert_eq!(r, init.wrapping_add(adds[0]));
+        let cut = 1 + cut % (adds.len() - 1);
+        let mut total = r;
+        for &v in &adds[1..cut] {
+            total = total.wrapping_add(v);
+            let (r, _) = dev.run_instruction(v, 0, 4).expect("run");
+            prop_assert_eq!(r, total);
+        }
+        let saved = dev.save_state().expect("save");
+        let mut dev2 = Device::new(FabricDims::PFU);
+        dev2.load(&bitstream).expect("load");
+        dev2.load_state(&saved).expect("restore");
+        for &v in &adds[cut..] {
+            total = total.wrapping_add(v);
+            let (r, _) = dev2.run_instruction(v, 0, 4).expect("run");
+            prop_assert_eq!(r, total);
+        }
+    }
 }
