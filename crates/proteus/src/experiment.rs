@@ -643,13 +643,14 @@ fn fault_campaign_cell(plan: &mut ExperimentPlan, series: String, x: f64, scenar
     });
 }
 
-/// **A6 — interruptible long instructions (§4.4).** A synthetic process
-/// loops on a 50 000-cycle custom instruction. With the status-register
-/// mechanism the scheduler preempts on time; with uninterruptible
-/// instructions every quantum stretches by up to the instruction
-/// latency. Series report the *worst observed scheduling overshoot* in
-/// cycles for each mode. (Fixed synthetic workload — takes no
-/// [`Scale`].)
+/// **A6 — interruptible long instructions (§4.4).** Two synthetic
+/// processes loop on a 70 000-cycle custom instruction under a 1 ms
+/// quantum. With the status-register mechanism the scheduler preempts on
+/// time; with uninterruptible instructions a quantum stretches by up to
+/// the instruction latency. Each mode's series holds, at x = 0, the
+/// *mean* scheduling overshoot in cycles (makespan / context switches −
+/// quantum) and, at x = 1, the makespan. (Fixed synthetic workload —
+/// takes no [`Scale`].)
 pub fn ablation_long_instructions_plan() -> ExperimentPlan {
     const LATENCY: u32 = 70_000;
     let mut plan = ExperimentPlan::new("ablation_longinstr");
