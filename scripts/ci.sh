@@ -63,19 +63,29 @@ diff scripts/golden/fault_campaign_quick.csv "$serial_dir/fault_campaign.csv"
 diff scripts/golden/breakdown_fault_campaign_quick.csv "$serial_dir/breakdown_fault_campaign.csv"
 echo "fault campaign deterministic and matches the golden matrix and breakdown"
 
-echo "== full-scale sharing and config-split ablations (committed results diff) =="
+echo "== full-scale sharing, config-split and long-instruction ablations (committed results diff) =="
 # At quick scale no Alpha run has more than four instances, so sharing
 # never swaps state and the A4 write-back path never runs; the committed
-# full-scale CSVs pin both.
+# full-scale CSVs pin both. A6 takes no scale, so its committed CSVs pin
+# it exactly.
 full_dir=target/ci-repro/full
 rm -rf "$full_dir"
 cargo run --release -p proteus-bench --bin repro -- \
-    --jobs 2 --out "$full_dir" sharing config-split >/dev/null
-for f in ablation_sharing.csv ablation_config_split.csv \
-         breakdown_ablation_sharing.csv breakdown_ablation_config_split.csv; do
+    --jobs 2 --out "$full_dir" sharing config-split longinstr >/dev/null
+for f in ablation_sharing.csv ablation_config_split.csv ablation_longinstr.csv \
+         breakdown_ablation_sharing.csv breakdown_ablation_config_split.csv \
+         breakdown_ablation_longinstr.csv; do
     diff "results/$f" "$full_dir/$f"
 done
-echo "sharing and config-split ablations match the committed results"
+echo "sharing, config-split and long-instruction ablations match the committed results"
+
+echo "== examples (each run once, release) =="
+# Clippy only compiles the examples; running them catches a change that
+# breaks one at run time.
+for example in quickstart alpha_contention software_dispatch fabric_tour dynamic_workload; do
+    cargo run --release -q -p proteus --example "$example" >/dev/null
+done
+echo "every example ran"
 
 echo "== profiling exports (folded determinism, golden diff, Chrome trace) =="
 cargo run --release -p proteus-bench --bin repro -- \
