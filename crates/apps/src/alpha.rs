@@ -29,15 +29,27 @@ pub fn blend_pixel(src: u32, dst: u32) -> u32 {
     out
 }
 
-/// Blend `src` over `dst` in place.
+/// Blend `src` over `dst` in place, `passes` times.
+///
+/// Each pixel stops at the first pass that leaves it unchanged: a fixed
+/// point of [`blend_pixel`] stays one, so the result equals `passes`
+/// plain blends. Every colour channel's map is monotone in the
+/// destination, so repeated blends move it one way until it stops, and
+/// every pixel is fixed within 255 passes.
 ///
 /// # Panics
 ///
 /// Panics if the buffers differ in length.
-pub fn blend_image(src: &[u32], dst: &mut [u32]) {
+pub fn blend_image(src: &[u32], dst: &mut [u32], passes: u32) {
     assert_eq!(src.len(), dst.len(), "image size mismatch");
     for (d, &s) in dst.iter_mut().zip(src) {
-        *d = blend_pixel(s, *d);
+        for _ in 0..passes {
+            let next = blend_pixel(s, *d);
+            if next == *d {
+                break;
+            }
+            *d = next;
+        }
     }
 }
 
@@ -62,6 +74,7 @@ pub fn test_pixels(n: usize, mut seed: u32) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn endpoints() {
@@ -93,13 +106,52 @@ mod tests {
         }
     }
 
+    /// `passes` plain blends of one pixel: the referee of `blend_image`.
+    fn naive(src: u32, mut dst: u32, passes: u32) -> u32 {
+        for _ in 0..passes {
+            dst = blend_pixel(src, dst);
+        }
+        dst
+    }
+
     #[test]
     fn blend_image_in_place() {
         let src = test_pixels(64, 7);
-        let mut dst = test_pixels(64, 9);
-        let expect: Vec<u32> = src.iter().zip(&dst).map(|(&s, &d)| blend_pixel(s, d)).collect();
-        blend_image(&src, &mut dst);
-        assert_eq!(dst, expect);
+        let dst0 = test_pixels(64, 9);
+        for passes in [0, 1, 2, 3, 40] {
+            let mut dst = dst0.clone();
+            blend_image(&src, &mut dst, passes);
+            let expect: Vec<u32> = src.iter().zip(&dst0).map(|(&s, &d)| naive(s, d, passes)).collect();
+            assert_eq!(dst, expect, "{passes} passes");
+        }
+    }
+
+    #[test]
+    fn slowest_pixel_needs_255_passes() {
+        // Source channels 0 at alpha 1 over destination 255: every pass
+        // lowers each channel by one.
+        let (src, dst0) = (0x0100_0000, 0x00FF_FFFF);
+        assert_eq!(naive(src, dst0, 254), 0x0001_0101);
+        assert_eq!(naive(src, dst0, 255), 0);
+        for passes in [254, 255, 256, 300] {
+            let mut dst = [dst0];
+            blend_image(&[src], &mut dst, passes);
+            assert_eq!(dst[0], naive(src, dst0, passes), "{passes} passes");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn blend_image_matches_repeated_blends(
+            src in any::<u32>(),
+            dst in any::<u32>(),
+            passes in 0u32..=600,
+        ) {
+            let mut out = [dst];
+            blend_image(&[src], &mut out, passes);
+            prop_assert_eq!(out[0], naive(src, dst, passes));
+        }
     }
 
     #[test]

@@ -32,11 +32,35 @@ pub struct BuiltProgram {
     pub expected_checksum: u32,
 }
 
-fn words_directive(out: &mut String, label: &str, data: &[u32]) {
-    let _ = writeln!(out, "{label}:");
-    for chunk in data.chunks(8) {
-        let line: Vec<String> = chunk.iter().map(|w| format!("0x{w:08X}")).collect();
-        let _ = writeln!(out, "    .word {}", line.join(", "));
+/// Guest source text plus the generated data of its data sections.
+///
+/// A data section is emitted as `label: .space 4·n` and its words are
+/// copied into the assembled image at the label, so no data word goes
+/// through text.
+struct GuestSource {
+    text: String,
+    data: Vec<(&'static str, Vec<u32>)>,
+}
+
+impl GuestSource {
+    fn new() -> Self {
+        Self { text: String::from(".org 0\n"), data: Vec::new() }
+    }
+
+    /// Append a data section holding `words`.
+    fn data(&mut self, label: &'static str, words: Vec<u32>) {
+        let _ = writeln!(self.text, "{label}:\n    .space {}", words.len() * 4);
+        self.data.push((label, words));
+    }
+
+    /// Assemble the text and copy each data section into the image.
+    fn assemble(self, what: &str) -> Program {
+        let mut program = assemble(&self.text).unwrap_or_else(|e| panic!("{what} assembles: {e}"));
+        for (label, words) in &self.data {
+            let addr = program.symbol(label).expect("data sections are labelled");
+            program.write_words(addr, words);
+        }
+        program
     }
 }
 
@@ -100,17 +124,27 @@ fn sw_blend_channel(
     s
 }
 
+/// The alpha data sections (`src`, `dst`) and the checksum of `dst`
+/// after `passes` in-place blends of `src` over it.
+fn alpha_data(npix: usize, passes: u32, seed: u32) -> (GuestSource, u32) {
+    let src = alpha::test_pixels(npix, seed);
+    let dst0 = alpha::test_pixels(npix, seed.wrapping_add(1));
+    let mut dst = dst0.clone();
+    alpha::blend_image(&src, &mut dst, passes);
+    let mut source = GuestSource::new();
+    source.data("src", src);
+    source.data("dst", dst0);
+    (source, checksum(&dst))
+}
+
 /// Build the accelerated alpha-blending program (one custom
 /// instruction, CID 0). `src` is blended over `dst` in place for
 /// `passes` passes.
 pub fn alpha_accelerated(npix: usize, passes: u32, seed: u32) -> BuiltProgram {
-    let src = alpha::test_pixels(npix, seed);
-    let dst0 = alpha::test_pixels(npix, seed.wrapping_add(1));
-    let mut source = String::from(".org 0\n");
-    words_directive(&mut source, "src", &src);
-    words_directive(&mut source, "dst", &dst0);
+    let (mut source, expected_checksum) = alpha_data(npix, passes, seed);
+    let text = &mut source.text;
     let _ = write!(
-        source,
+        text,
         "start:\n\
          \x20   ldr r9, ={passes}\n\
          pass_loop:\n\
@@ -127,36 +161,24 @@ pub fn alpha_accelerated(npix: usize, passes: u32, seed: u32) -> BuiltProgram {
          \x20   subs r9, r9, #1\n\
          \x20   bne pass_loop\n"
     );
-    source.push_str(&checksum_epilogue("dst", npix));
+    text.push_str(&checksum_epilogue("dst", npix));
     // Software alternative: whole-pixel blend under the §4.3 ABI.
-    source.push_str("sw_blend:\n    push {r0-r11}\n    ldop r0, a\n    ldop r1, b\n");
-    source.push_str("    mov r2, r0, lsr #24\n    rsb r3, r2, #255\n    and r6, r1, #0xFF000000\n");
+    text.push_str("sw_blend:\n    push {r0-r11}\n    ldop r0, a\n    ldop r1, b\n");
+    text.push_str("    mov r2, r0, lsr #24\n    rsb r3, r2, #255\n    and r6, r1, #0xFF000000\n");
     for shift in [0u32, 8, 16] {
-        source.push_str(&sw_blend_channel("r0", "r1", "r2", "r3", "r6", "r7", "r8", "r9", shift));
+        text.push_str(&sw_blend_channel("r0", "r1", "r2", "r3", "r6", "r7", "r8", "r9", shift));
     }
-    source.push_str("    stres r6\n    pop {r0-r11}\n    retsd\n");
-
-    // Ground truth.
-    let mut dst = dst0;
-    for _ in 0..passes {
-        alpha::blend_image(&src, &mut dst);
-    }
-    BuiltProgram {
-        program: assemble(&source).expect("alpha_accelerated assembles"),
-        expected_checksum: checksum(&dst),
-    }
+    text.push_str("    stres r6\n    pop {r0-r11}\n    retsd\n");
+    BuiltProgram { program: source.assemble("alpha_accelerated"), expected_checksum }
 }
 
 /// Build the pure-software alpha program (no custom instructions): the
 /// unaccelerated baseline for the speedup claim.
 pub fn alpha_software(npix: usize, passes: u32, seed: u32) -> BuiltProgram {
-    let src = alpha::test_pixels(npix, seed);
-    let dst0 = alpha::test_pixels(npix, seed.wrapping_add(1));
-    let mut source = String::from(".org 0\n");
-    words_directive(&mut source, "src", &src);
-    words_directive(&mut source, "dst", &dst0);
+    let (mut source, expected_checksum) = alpha_data(npix, passes, seed);
+    let text = &mut source.text;
     let _ = write!(
-        source,
+        text,
         "start:\n\
          \x20   ldr r9, ={passes}\n\
          pass_loop:\n\
@@ -171,26 +193,33 @@ pub fn alpha_software(npix: usize, passes: u32, seed: u32) -> BuiltProgram {
          \x20   and r5, r4, #0xFF000000\n"
     );
     for shift in [0u32, 8, 16] {
-        source.push_str(&sw_blend_channel("r3", "r4", "r6", "r7", "r5", "r8", "r10", "r11", shift));
+        text.push_str(&sw_blend_channel("r3", "r4", "r6", "r7", "r5", "r8", "r10", "r11", shift));
     }
     let _ = write!(
-        source,
+        text,
         "    str r5, [r1], #4\n\
          \x20   subs r2, r2, #1\n\
          \x20   bne pix_loop\n\
          \x20   subs r9, r9, #1\n\
          \x20   bne pass_loop\n"
     );
-    source.push_str(&checksum_epilogue("dst", npix));
+    text.push_str(&checksum_epilogue("dst", npix));
+    BuiltProgram { program: source.assemble("alpha_software"), expected_checksum }
+}
 
-    let mut dst = dst0;
-    for _ in 0..passes {
-        alpha::blend_image(&src, &mut dst);
-    }
-    BuiltProgram {
-        program: assemble(&source).expect("alpha_software assembles"),
-        expected_checksum: checksum(&dst),
-    }
+/// The echo data sections (`input`, then the `zeros` history and the
+/// `output` buffer) and the checksum of the reference output.
+fn echo_data(nsamples: usize, delay: usize, gain: u32, seed: u32) -> (GuestSource, u32) {
+    assert!(delay > 0 && delay < nsamples, "delay must be within the buffer");
+    let input = echo::test_samples(nsamples, seed);
+    let expected_checksum = checksum(&echo::echo_ref(&input, delay, gain));
+    let mut source = GuestSource::new();
+    source.data("input", input);
+    // A zero prefix directly before the output buffer stands in for the
+    // y[n-D] history of the first D samples.
+    let _ = writeln!(source.text, "zeros:\n    .space {}", delay * 4);
+    let _ = writeln!(source.text, "output:\n    .space {}", nsamples * 4);
+    (source, expected_checksum)
 }
 
 /// Build the accelerated echo program: **two** custom instructions in a
@@ -202,16 +231,10 @@ pub fn echo_accelerated(
     gain: u32,
     seed: u32,
 ) -> BuiltProgram {
-    assert!(delay > 0 && delay < nsamples, "delay must be within the buffer");
-    let input = echo::test_samples(nsamples, seed);
-    let mut source = String::from(".org 0\n");
-    words_directive(&mut source, "input", &input);
-    // A zero prefix directly before the output buffer stands in for the
-    // y[n-D] history of the first D samples.
-    let _ = writeln!(source, "zeros:\n    .space {}", delay * 4);
-    let _ = writeln!(source, "output:\n    .space {}", nsamples * 4);
+    let (mut source, expected_checksum) = echo_data(nsamples, delay, gain, seed);
+    let text = &mut source.text;
     let _ = write!(
-        source,
+        text,
         "start:\n\
          \x20   ldr r9, ={passes}\n\
          \x20   ldr r12, ={gain}\n\
@@ -231,9 +254,9 @@ pub fn echo_accelerated(
          \x20   subs r9, r9, #1\n\
          \x20   bne pass_loop\n"
     );
-    source.push_str(&checksum_epilogue("output", nsamples));
+    text.push_str(&checksum_epilogue("output", nsamples));
     // Software alternatives.
-    source.push_str(
+    text.push_str(
         "sw_scale:\n\
          \x20   push {r0-r3}\n\
          \x20   ldop r0, a\n\
@@ -268,12 +291,7 @@ pub fn echo_accelerated(
          \x20   pop {r0-r4}\n\
          \x20   retsd\n",
     );
-
-    let out = echo::echo_ref(&input, delay, gain);
-    BuiltProgram {
-        program: assemble(&source).expect("echo_accelerated assembles"),
-        expected_checksum: checksum(&out),
-    }
+    BuiltProgram { program: source.assemble("echo_accelerated"), expected_checksum }
 }
 
 /// Build the pure-software echo program.
@@ -284,14 +302,10 @@ pub fn echo_software(
     gain: u32,
     seed: u32,
 ) -> BuiltProgram {
-    assert!(delay > 0 && delay < nsamples, "delay must be within the buffer");
-    let input = echo::test_samples(nsamples, seed);
-    let mut source = String::from(".org 0\n");
-    words_directive(&mut source, "input", &input);
-    let _ = writeln!(source, "zeros:\n    .space {}", delay * 4);
-    let _ = writeln!(source, "output:\n    .space {}", nsamples * 4);
+    let (mut source, expected_checksum) = echo_data(nsamples, delay, gain, seed);
+    let text = &mut source.text;
     let _ = write!(
-        source,
+        text,
         "start:\n\
          \x20   ldr r9, ={passes}\n\
          \x20   ldr r12, ={gain}\n\
@@ -326,13 +340,8 @@ pub fn echo_software(
          \x20   subs r9, r9, #1\n\
          \x20   bne pass_loop\n"
     );
-    source.push_str(&checksum_epilogue("output", nsamples));
-
-    let out = echo::echo_ref(&input, delay, gain);
-    BuiltProgram {
-        program: assemble(&source).expect("echo_software assembles"),
-        expected_checksum: checksum(&out),
-    }
+    text.push_str(&checksum_epilogue("output", nsamples));
+    BuiltProgram { program: source.assemble("echo_software"), expected_checksum }
 }
 
 /// Test plaintext blocks as little-endian words.
@@ -340,24 +349,26 @@ pub fn twofish_test_blocks(nblocks: usize, seed: u32) -> Vec<u32> {
     alpha::test_pixels(nblocks * 4, seed ^ 0x7F4A_7C15)
 }
 
-fn twofish_data_sections(key: &[u8; 16], input: &[u32]) -> (String, Twofish) {
+/// The Twofish data sections (`input`, `output`, the expanded `keys`
+/// and the interleaved g tables `gtab`) and the checksum of the
+/// reference ciphertext.
+fn twofish_data(nblocks: usize, key: &[u8; 16], seed: u32) -> (GuestSource, u32) {
     let tf = Twofish::new(key);
     let ks = tf.key_schedule();
-    let mut source = String::from(".org 0\n");
-    words_directive(&mut source, "input", input);
-    let _ = writeln!(source, "output:\n    .space {}", input.len() * 4);
-    words_directive(&mut source, "keys", &ks.k);
+    let input = twofish_test_blocks(nblocks, seed);
+    let ciphertext: Vec<u32> = input
+        .chunks_exact(4)
+        .flat_map(|w| tf.encrypt_words(w.try_into().expect("chunk of 4")))
+        .collect();
+    let mut source = GuestSource::new();
+    source.data("input", input);
+    let _ = writeln!(source.text, "output:\n    .space {}", nblocks * 16);
+    source.data("keys", ks.k.to_vec());
     // Layout [byte][lane] so a single `add t, base, b, lsl #4` plus
     // small immediate offsets reaches all four lanes.
     let t = ks.g_tables();
-    let mut inter = Vec::with_capacity(256 * 4);
-    for b in 0..256 {
-        for lane in 0..4 {
-            inter.push(t[lane][b]);
-        }
-    }
-    words_directive(&mut source, "gtab", &inter);
-    (source, tf)
+    source.data("gtab", (0..256).flat_map(|b| t.iter().map(move |lane| lane[b])).collect());
+    (source, checksum(&ciphertext))
 }
 
 /// Emit an inline g-function lookup: 17 instructions using `lr` as the
@@ -580,43 +591,29 @@ fn twofish_sw_alternative() -> String {
     )
 }
 
-fn twofish_expected(tf: &Twofish, input: &[u32]) -> u32 {
-    let words: Vec<u32> = input
-        .chunks_exact(4)
-        .flat_map(|w| tf.encrypt_words(w.try_into().expect("chunk of 4")))
-        .collect();
-    checksum(&words)
-}
-
 /// Build the accelerated Twofish program: the whole block path runs as
 /// custom instruction CID 0 (key baked into the configuration), driven
 /// through the five-invocation phase protocol. The interleaved g tables
 /// are embedded for the registered software alternative (`sw_tf`),
 /// which replicates the phase machine with its state in process memory.
 pub fn twofish_accelerated(nblocks: usize, passes: u32, key: &[u8; 16], seed: u32) -> BuiltProgram {
-    let input = twofish_test_blocks(nblocks, seed);
-    let (mut source, tf) = twofish_data_sections(key, &input);
-    source.push_str("passctr:\n    .word 0\ntfphase:\n    .word 0\ntfw:\n    .space 16\ntfct:\n    .space 16\n");
-    source.push_str(&twofish_accelerated_loop(nblocks, passes));
-    source.push_str(&checksum_epilogue("output", nblocks * 4));
-    source.push_str(&twofish_sw_alternative());
-    BuiltProgram {
-        program: assemble(&source).expect("twofish_accelerated assembles"),
-        expected_checksum: twofish_expected(&tf, &input),
-    }
+    let (mut source, expected_checksum) = twofish_data(nblocks, key, seed);
+    let text = &mut source.text;
+    text.push_str("passctr:\n    .word 0\ntfphase:\n    .word 0\ntfw:\n    .space 16\ntfct:\n    .space 16\n");
+    text.push_str(&twofish_accelerated_loop(nblocks, passes));
+    text.push_str(&checksum_epilogue("output", nblocks * 4));
+    text.push_str(&twofish_sw_alternative());
+    BuiltProgram { program: source.assemble("twofish_accelerated"), expected_checksum }
 }
 
 /// Build the pure-software Twofish program (table-driven rounds inline).
 pub fn twofish_software(nblocks: usize, passes: u32, key: &[u8; 16], seed: u32) -> BuiltProgram {
-    let input = twofish_test_blocks(nblocks, seed);
-    let (mut source, tf) = twofish_data_sections(key, &input);
-    source.push_str("passctr:\n    .word 0\n");
-    source.push_str(&twofish_software_loop(nblocks, passes));
-    source.push_str(&checksum_epilogue("output", nblocks * 4));
-    BuiltProgram {
-        program: assemble(&source).expect("twofish_software assembles"),
-        expected_checksum: twofish_expected(&tf, &input),
-    }
+    let (mut source, expected_checksum) = twofish_data(nblocks, key, seed);
+    let text = &mut source.text;
+    text.push_str("passctr:\n    .word 0\n");
+    text.push_str(&twofish_software_loop(nblocks, passes));
+    text.push_str(&checksum_epilogue("output", nblocks * 4));
+    BuiltProgram { program: source.assemble("twofish_software"), expected_checksum }
 }
 
 #[cfg(test)]

@@ -82,6 +82,29 @@ impl Program {
     pub fn symbols(&self) -> &HashMap<String, u32> {
         &self.symbols
     }
+
+    /// Overwrite the words from byte address `addr` on with `data`, for
+    /// example to fill a `.space` section with generated data.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not word-aligned or the range does not lie
+    /// inside the program.
+    #[track_caller]
+    pub fn write_words(&mut self, addr: u32, data: &[u32]) {
+        assert!(addr.is_multiple_of(4), "write_words: address 0x{addr:08X} is not word-aligned");
+        let start = addr.checked_sub(self.origin).map(|off| off as usize / 4);
+        let range = start.and_then(|s| Some(s..s.checked_add(data.len())?));
+        match range.and_then(|r| self.words.get_mut(r)) {
+            Some(slot) => slot.copy_from_slice(data),
+            None => panic!(
+                "write_words: {} words at 0x{addr:08X} lie outside the program (0x{:08X}, {} words)",
+                data.len(),
+                self.origin,
+                self.words.len()
+            ),
+        }
+    }
 }
 
 /// Assembly failure with its source line (1-based).
@@ -1104,5 +1127,30 @@ mod tests {
         let p = asm("mov r0, #0\n.align 16\nbuf: .space 8\nafter: mov r1, #0\n");
         assert_eq!(p.symbol("buf"), Some(16));
         assert_eq!(p.symbol("after"), Some(24));
+    }
+
+    #[test]
+    fn write_words_fills_a_space_section() {
+        let mut p = asm(".org 0x100\nmov r0, #0\nbuf: .space 8\nafter: mov r1, #0\n");
+        let before = p.words().to_vec();
+        p.write_words(0x104, &[7, 9]);
+        assert_eq!(p.words()[1..3], [7, 9]);
+        assert_eq!(p.words()[0], before[0]);
+        assert_eq!(p.words()[3], before[3]);
+        p.write_words(0x110, &[]);
+        assert_eq!(p.words().len(), 4);
+    }
+
+    #[test]
+    fn write_words_rejects_out_of_range_and_misaligned() {
+        let p = asm(".org 0x100\nbuf: .space 8\n");
+        for (addr, len) in [(0xFC, 1), (0x100, 3), (0x108, 1), (0x102, 1), (u32::MAX - 3, 1)] {
+            let mut q = p.clone();
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                q.write_words(addr, &vec![1; len]);
+            }));
+            assert!(r.is_err(), "write of {len} words at 0x{addr:X} accepted");
+            assert_eq!(q, p, "a rejected write left the program as it was");
+        }
     }
 }
