@@ -372,6 +372,7 @@ mod tests {
     use super::*;
     use crate::builder::NetlistBuilder;
     use crate::place;
+    use proptest::prelude::*;
 
     fn sample_bitstream() -> Bitstream {
         let mut b = NetlistBuilder::new();
@@ -406,6 +407,36 @@ mod tests {
         let words = bs.to_words();
         let back = Bitstream::from_words(&words).expect("decode");
         assert_eq!(bs, back);
+    }
+
+    /// Encode `bs` with `bits` as its state section and decode it again.
+    fn state_roundtrip(bs: &mut Bitstream, bits: Vec<bool>) -> StateFrames {
+        bs.initial_state = StateFrames { bits };
+        Bitstream::from_words(&bs.to_words()).expect("decode").initial_state
+    }
+
+    #[test]
+    fn state_frames_roundtrip_every_one_hot_position() {
+        // Placement puts the sample's registers at a few CLBs only, so
+        // `words_roundtrip` leaves most state bit positions unexercised.
+        let mut bs = sample_bitstream();
+        let n = bs.dims().clbs();
+        for i in 0..n {
+            let bits: Vec<bool> = (0..n).map(|j| j == i).collect();
+            assert_eq!(state_roundtrip(&mut bs, bits.clone()).bits, bits, "one-hot CLB {i}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn state_frames_roundtrip_random_patterns(
+            bits in proptest::collection::vec(any::<bool>(), 500..501),
+        ) {
+            let mut bs = sample_bitstream();
+            prop_assert_eq!(bits.len(), bs.dims().clbs());
+            prop_assert_eq!(state_roundtrip(&mut bs, bits.clone()).bits, bits);
+        }
     }
 
     #[test]
