@@ -10,7 +10,10 @@ median and quartiles, the change's wins over the pairs (ties count for
 neither), whether the change's median is worse than the parent's by
 more than the metric's bound, and whether the gain rule holds: the
 change wins at least nine tenths of the pairs and the medians differ by
-more than the parent's interquartile spread.
+more than the parent's interquartile spread. Beside the table it prints
+each side's median raw batch wall and median reference-loop time, the
+numerator and denominator of `batch_time_ref`, so a move in that ratio
+can be traced to the job or to the reference loop.
 
     python3 scripts/ab_pairs.py --parent ../parent --change . \\
         --workload hw_contended --pairs 10 --seconds 30 --seed 7
@@ -19,11 +22,15 @@ more than the parent's interquartile spread.
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 
 SIDES = ("parent", "change")
+# perfbench's raw readings behind `batch_time_ref`.
+RAW = re.compile(r"median batch wall ([0-9.]+) s; median reference loop ([0-9.]+) s")
+RAW_NAMES = ("batch wall s", "reference loop s")
 
 
 def load_spec(root):
@@ -51,7 +58,12 @@ def run_once(spec, cwd, args):
     result = json.loads(lines[-1])
     if not result["correct"] or result["failed"] > 0:
         sys.exit(f"{cwd}: rejected run (correct={result['correct']}, failed={result['failed']})\n{proc.stdout}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    raw = RAW.search(proc.stdout)
+    if not raw:
+        sys.exit(f"{cwd}: no `median batch wall ... median reference loop ...` line\n{proc.stdout}")
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    values.update(zip(RAW_NAMES, map(float, raw.groups())))
+    return values
 
 
 def quartiles(values):
@@ -89,8 +101,8 @@ def main():
         for side in order:
             runs[side].append(run_once(spec, dirs[side], args))
         print(f"pair {i + 1} ({order[0]} first): " + "  ".join(
-            f"{m['name']} {runs['parent'][-1][m['name']]:.6g} -> {runs['change'][-1][m['name']]:.6g}"
-            for m in metrics), flush=True)
+            f"{name} {runs['parent'][-1][name]:.6g} -> {runs['change'][-1][name]:.6g}"
+            for name in [m["name"] for m in metrics] + list(RAW_NAMES)), flush=True)
 
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
     print(f"{'metric':24} {'parent median [q1-q3]':>32} {'change median [q1-q3]':>32} "
@@ -110,6 +122,11 @@ def main():
             verdict += f", WORSE than bound {m['bound']}"
         ps, cs = f"{pm:.6g} [{p1:.6g}-{p3:.6g}]", f"{cm:.6g} [{c1:.6g}-{c3:.6g}]"
         print(f"{name:24} {ps:>32} {cs:>32} {wins:3}/{args.pairs:<2} {rel:+10.2%}  {verdict}")
+    print("\nraw readings behind batch_time_ref (median of the runs' medians):")
+    for name in RAW_NAMES:
+        p = statistics.median(r[name] for r in runs["parent"])
+        c = statistics.median(r[name] for r in runs["change"])
+        print(f"{name:24} {p:>32.6g} {c:>32.6g} {'':6} {(c - p) / p:+10.2%}")
 
 
 if __name__ == "__main__":
