@@ -19,9 +19,10 @@ use std::path::PathBuf;
 use proteus_apps::{AppKind, WorkloadConfig, WorkloadSpec};
 
 /// `(size, passes)` per application at perfbench's `hw_contended`
-/// scale, and the guest data seed its `--seed 7` derives.
+/// scale.
 const HW_CONTENDED: [(AppKind, usize, u32); 3] =
     [(AppKind::Alpha, 1024, 257), (AppKind::Echo, 2048, 135), (AppKind::Twofish, 64, 1446)];
+/// The guest data seed perfbench's `--seed 7` derives.
 const HW_CONTENDED_SEED: u32 = 0x63CB_E1E4;
 
 /// `(size, passes, seed)` of the small point.
@@ -78,8 +79,7 @@ fn line(out: &mut String, config: WorkloadConfig) {
 fn guest_images_match_golden() {
     let mut rendered = String::new();
     for (kind, size, passes) in HW_CONTENDED {
-        let points = [(SMALL.0, SMALL.1, SMALL.2), (size, passes, HW_CONTENDED_SEED)];
-        for (size, passes, seed) in points {
+        for (size, passes, seed) in [SMALL, (size, passes, HW_CONTENDED_SEED)] {
             for accelerated in [true, false] {
                 let mut config = WorkloadConfig::new(kind, size, passes);
                 config.seed = seed;
