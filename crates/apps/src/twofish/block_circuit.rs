@@ -21,6 +21,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use proteus_fabric::FabricError;
+use proteus_rfu::behavioral::Invocation;
 use proteus_rfu::circuit::{CircuitClock, CircuitState, PfuCircuit};
 
 use super::cipher::Twofish;
@@ -61,8 +62,7 @@ fn phase_latency(phase: u32) -> u32 {
 pub struct BlockCircuit {
     tf: Twofish,
     phase: u32,
-    elapsed: u32,
-    latched: (u32, u32),
+    invocation: Invocation,
     w: [u32; 4],
     ct: [u32; 4],
     memo: HashMap<[u32; 4], [u32; 4]>,
@@ -72,7 +72,7 @@ impl fmt::Debug for BlockCircuit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BlockCircuit")
             .field("phase", &self.phase)
-            .field("elapsed", &self.elapsed)
+            .field("elapsed", &self.invocation.elapsed())
             .field("memo_entries", &self.memo.len())
             .finish()
     }
@@ -84,8 +84,7 @@ impl BlockCircuit {
         Self {
             tf: Twofish::new(key),
             phase: 0,
-            elapsed: 0,
-            latched: (0, 0),
+            invocation: Invocation::default(),
             w: [0; 4],
             ct: [0; 4],
             // One allocation at the cap: a memo that grew by rehashing
@@ -108,11 +107,9 @@ impl BlockCircuit {
         ct
     }
 
-    /// The invocation's final clock: act on the latched operands,
-    /// advance the phase machine and return the result-bus value.
-    fn complete(&mut self) -> u32 {
-        self.elapsed = 0;
-        let (a, b) = self.latched;
+    /// The invocation's final clock: act on the latched operands `a` and
+    /// `b`, advance the phase machine and return the result-bus value.
+    fn complete(&mut self, (a, b): (u32, u32)) -> u32 {
         let (result, next_phase) = match self.phase {
             0 => {
                 self.w[0] = a;
@@ -137,39 +134,21 @@ impl BlockCircuit {
 
 impl PfuCircuit for BlockCircuit {
     fn clock(&mut self, op_a: u32, op_b: u32, init: bool) -> CircuitClock {
-        if init {
-            self.elapsed = 0;
-            self.latched = (op_a, op_b);
+        match self.invocation.clock(op_a, op_b, init, phase_latency(self.phase)) {
+            Some(operands) => CircuitClock { result: self.complete(operands), done: true },
+            None => CircuitClock { result: 0, done: false },
         }
-        self.elapsed += 1;
-        if self.elapsed < phase_latency(self.phase) {
-            return CircuitClock { result: 0, done: false };
-        }
-        CircuitClock { result: self.complete(), done: true }
     }
 
     fn run_clocks(&mut self, op_a: u32, op_b: u32, init: bool, budget: u64) -> (u64, Option<u32>) {
-        if init {
-            self.elapsed = 0;
-            self.latched = (op_a, op_b);
-        }
-        // `done` rises on the clock where elapsed reaches the phase's
-        // latency. `elapsed` stays below it (`load_state` rejects frames
-        // that break this), so at least one clock remains.
-        let remaining = u64::from(phase_latency(self.phase) - self.elapsed);
-        if remaining > budget {
-            self.elapsed += budget as u32;
-            return (budget, None);
-        }
-        (remaining, Some(self.complete()))
+        let (used, done) = self.invocation.run(op_a, op_b, init, budget, phase_latency(self.phase));
+        (used, done.map(|operands| self.complete(operands)))
     }
 
     fn save_state(&self) -> CircuitState {
         let mut words = vec![0u32; 12];
         words[0] = self.phase;
-        words[1] = self.elapsed;
-        words[2] = self.latched.0;
-        words[3] = self.latched.1;
+        words[1..4].copy_from_slice(&self.invocation.save());
         words[4..8].copy_from_slice(&self.w);
         words[8..12].copy_from_slice(&self.ct);
         CircuitState(words)
@@ -182,19 +161,15 @@ impl PfuCircuit for BlockCircuit {
             });
         }
         // Reject frames the phase machine can never hold: a phase past
-        // the protocol, or progress at or beyond the phase's latency
-        // (`elapsed` resets on the completing clock).
-        let (phase, elapsed) = (state.0[0], state.0[1]);
-        if phase > LAST_PHASE || elapsed >= phase_latency(phase) {
+        // the protocol, or progress the phase's invocation never reaches.
+        let phase = state.0[0];
+        if phase > LAST_PHASE {
             return Err(FabricError::StateMismatch {
-                detail: format!(
-                    "twofish block circuit cannot hold phase {phase} with {elapsed} clocks elapsed"
-                ),
+                detail: format!("twofish block circuit cannot hold phase {phase}"),
             });
         }
+        self.invocation.load([state.0[1], state.0[2], state.0[3]], phase_latency(phase))?;
         self.phase = phase;
-        self.elapsed = elapsed;
-        self.latched = (state.0[2], state.0[3]);
         self.w.copy_from_slice(&state.0[4..8]);
         self.ct.copy_from_slice(&state.0[8..12]);
         Ok(())

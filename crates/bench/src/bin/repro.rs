@@ -22,7 +22,8 @@
 //! simulated-cycles-per-host-second throughput, a `cycle_breakdown`
 //! section (per-experiment and aggregate category totals), the top
 //! per-process × per-callsite cycle sinks, and per-trace ring-buffer
-//! drop counts.
+//! drop counts. A run that could not write one of its outputs says so
+//! and exits 1 once it is done.
 //!
 //! Profiling flags (scenario names resolve through
 //! [`proteus::experiment::resolve_target`] — experiment figures from
@@ -53,23 +54,50 @@ use proteus::scenario::ScenarioResult;
 use proteus::series::SeriesSet;
 use proteus_apps::AppKind;
 
-fn emit(set: &SeriesSet, outdir: &Path) {
-    println!("== {} ==", set.figure);
-    println!("{}", set.to_table());
-    let path = outdir.join(format!("{}.csv", set.figure));
-    match set.write_csv(&path) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-    println!();
+/// The `--out` directory and the number of outputs that could not be
+/// written into it: a run that lost any exits 1 once it is done.
+struct OutDir<'a> {
+    path: &'a Path,
+    failed: usize,
 }
 
-fn emit_breakdown(m: &PlanMetrics, outdir: &Path) {
-    let path = outdir.join(format!("breakdown_{}.csv", m.breakdown.figure));
-    match m.breakdown.write_csv(&path) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+impl OutDir<'_> {
+    /// `path`, created if missing. A directory that cannot be created is
+    /// reported here; every write into it then fails and is counted.
+    fn create(path: &Path) -> OutDir<'_> {
+        if let Err(e) = std::fs::create_dir_all(path) {
+            eprintln!("could not create {}: {e}", path.display());
+        }
+        OutDir { path, failed: 0 }
     }
+
+    /// Write `contents` to `file` in the directory and say so, with `note`
+    /// after the path; report and count a failure.
+    fn write(&mut self, file: &str, contents: impl AsRef<[u8]>, note: &str) {
+        let path = self.path.join(file);
+        match std::fs::write(&path, contents) {
+            Ok(()) => println!("wrote {}{note}", path.display()),
+            Err(e) => {
+                eprintln!("could not write {}: {e}", path.display());
+                self.failed += 1;
+            }
+        }
+    }
+
+    /// Exit 1 if any output was lost.
+    fn finish(&self) {
+        if self.failed > 0 {
+            eprintln!("{} output file(s) could not be written", self.failed);
+            std::process::exit(1);
+        }
+    }
+}
+
+fn emit(set: &SeriesSet, out: &mut OutDir) {
+    println!("== {} ==", set.figure);
+    println!("{}", set.to_table());
+    out.write(&format!("{}.csv", set.figure), set.to_csv(), "");
+    println!();
 }
 
 /// Run the contended demo scenario of `app` with tracing enabled,
@@ -90,7 +118,7 @@ fn run_demo(app: AppKind, quick: bool) -> ScenarioResult {
 /// (`chrome_trace_<app>.json`). Returns the dump's entry for
 /// `summary.json`'s `traces` section: truncated timelines must be
 /// visible, not silent.
-fn dump_trace(app: AppKind, quick: bool, outdir: &Path, chrome: bool) -> Object {
+fn dump_trace(app: AppKind, quick: bool, out: &mut OutDir, chrome: bool) -> Object {
     let name = app.name();
     let result = run_demo(app, quick);
     let dropped = result.trace_dropped;
@@ -101,12 +129,8 @@ fn dump_trace(app: AppKind, quick: bool, outdir: &Path, chrome: bool) -> Object 
         let lines = result.trace.iter().map(|&(at, tag, e)| e.to_json(at, tag) + "\n").collect();
         (format!("trace_{name}.jsonl"), lines)
     };
-    let path = outdir.join(&file);
     let (events, cycles) = (result.trace.len(), result.total_cycles);
-    match std::fs::write(&path, contents) {
-        Ok(()) => println!("wrote {} ({events} events over {cycles} cycles)", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    out.write(&file, contents, &format!(" ({events} events over {cycles} cycles)"));
     if dropped > 0 {
         eprintln!(
             "warning: trace ring dropped {dropped} events for {name}; \
@@ -124,7 +148,7 @@ fn dump_trace(app: AppKind, quick: bool, outdir: &Path, chrome: bool) -> Object 
 /// attribution (cell-wise sums commute, so the output is byte-identical
 /// at any worker count); demo targets profile the single contended
 /// scenario.
-fn dump_flame(target: RunTarget, scale: &Scale, quick: bool, jobs: usize, outdir: &Path) {
+fn dump_flame(target: RunTarget, scale: &Scale, quick: bool, jobs: usize, out: &mut OutDir) {
     let name = target.name();
     let attributed = match target {
         RunTarget::Experiment(exp) => {
@@ -141,16 +165,8 @@ fn dump_flame(target: RunTarget, scale: &Scale, quick: bool, jobs: usize, outdir
         RunTarget::Demo(app) => run_demo(app, quick).attributed,
     };
     let folded = attributed.to_folded(name);
-    let path = outdir.join(format!("flamegraph_{name}.folded"));
-    match std::fs::write(&path, &folded) {
-        Ok(()) => println!(
-            "wrote {} ({} stacks, {} cycles)",
-            path.display(),
-            folded.lines().count(),
-            attributed.total(),
-        ),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    let note = format!(" ({} stacks, {} cycles)", folded.lines().count(), attributed.total());
+    out.write(&format!("flamegraph_{name}.folded"), folded, &note);
 }
 
 fn metrics_json(m: &PlanMetrics) -> Object {
@@ -303,7 +319,7 @@ fn bench_record(number: u32, quick: bool, m: &PlanMetrics, baseline: Option<Obje
 /// latest comparable record (same figure, scale and worker count). The
 /// figure CSVs are *not* rewritten — bench mode measures, it does not
 /// regenerate results.
-fn run_bench(quick: bool, outdir: &Path) {
+fn run_bench(quick: bool, out: &mut OutDir) {
     let scale = if quick { Scale::quick() } else { Scale::full() };
     let plan = plan_for(BENCH_FIGURE, &scale).expect("registry covers the bench figure");
     println!(
@@ -320,9 +336,9 @@ fn run_bench(quick: bool, outdir: &Path) {
         throughput,
     );
 
-    let records = bench_records(outdir);
+    let records = bench_records(out.path);
     let number = next_bench_number(&records);
-    let baseline = find_baseline(outdir, &records, quick).map(|b| {
+    let baseline = find_baseline(out.path, &records, quick).map(|b| {
         let speedup = if b.throughput > 0.0 { throughput / b.throughput } else { 0.0 };
         let regression = speedup < 0.8;
         println!(
@@ -337,13 +353,9 @@ fn run_bench(quick: bool, outdir: &Path) {
         }
     });
     if baseline.is_none() {
-        println!("bench: no comparable baseline record in {}", outdir.display());
+        println!("bench: no comparable baseline record in {}", out.path.display());
     }
-    let path = outdir.join(format!("BENCH_{number}.json"));
-    match std::fs::write(&path, bench_record(number, quick, &m, baseline)) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    out.write(&format!("BENCH_{number}.json"), bench_record(number, quick, &m, baseline), "");
 }
 
 fn usage() -> ! {
@@ -449,11 +461,9 @@ fn main() {
             eprintln!("--bench runs the pinned subset only; drop experiment/trace arguments");
             usage();
         }
-        let outdir = Path::new(&outdir);
-        if let Err(e) = std::fs::create_dir_all(outdir) {
-            eprintln!("could not create {}: {e}", outdir.display());
-        }
-        run_bench(quick, outdir);
+        let mut out = OutDir::create(Path::new(&outdir));
+        run_bench(quick, &mut out);
+        out.finish();
         return;
     }
     // Profiling flags alone run without rerunning every figure; with
@@ -470,21 +480,18 @@ fn main() {
     }
 
     let scale = if quick { Scale::quick() } else { Scale::full() };
-    let outdir = Path::new(&outdir);
-    if let Err(e) = std::fs::create_dir_all(outdir) {
-        eprintln!("could not create {}: {e}", outdir.display());
-    }
+    let mut out = OutDir::create(Path::new(&outdir));
 
     let t0 = Instant::now();
     let mut trace_entries = Array::default();
     for app in &traces {
-        trace_entries.push(dump_trace(*app, quick, outdir, false));
+        trace_entries.push(dump_trace(*app, quick, &mut out, false));
     }
     for app in &chrome_traces {
-        trace_entries.push(dump_trace(*app, quick, outdir, true));
+        trace_entries.push(dump_trace(*app, quick, &mut out, true));
     }
     for target in &flames {
-        dump_flame(*target, &scale, quick, jobs, outdir);
+        dump_flame(*target, &scale, quick, jobs, &mut out);
     }
     let mut metrics: Vec<PlanMetrics> = Vec::new();
     for name in EXPERIMENTS {
@@ -500,8 +507,8 @@ fn main() {
             m.wall.as_secs_f64(),
             m.sim_cycles_per_host_second(),
         );
-        emit(&set, outdir);
-        emit_breakdown(&m, outdir);
+        emit(&set, &mut out);
+        out.write(&format!("breakdown_{}.csv", m.breakdown.figure), m.breakdown.to_csv(), "");
         metrics.push(m);
     }
     let total_wall = t0.elapsed().as_secs_f64();
@@ -511,13 +518,10 @@ fn main() {
         // plan's job count), not the raw `--jobs` request.
         let effective_workers = metrics.iter().map(|m| m.workers).max().unwrap_or(1);
         let summary = summary_json(&metrics, trace_entries, effective_workers, quick, total_wall);
-        let summary_path = outdir.join("summary.json");
-        match std::fs::write(&summary_path, &summary) {
-            Ok(()) => println!("wrote {}", summary_path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", summary_path.display()),
-        }
+        out.write("summary.json", summary, "");
     }
     println!("done in {total_wall:.1}s with {jobs} worker(s) (scale: {scale:?})");
+    out.finish();
 }
 
 #[cfg(test)]
@@ -547,6 +551,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create scratch dir");
         dir
+    }
+
+    #[test]
+    fn out_dir_counts_the_writes_it_loses() {
+        let dir = scratch_dir("out-dir");
+        let mut out = OutDir::create(&dir);
+        out.write("fig.csv", "figure,series,x,y\n", "");
+        assert_eq!(std::fs::read_to_string(dir.join("fig.csv")).expect("written"), "figure,series,x,y\n");
+        assert_eq!(out.failed, 0);
+        // A directory where the file should go, then a file where the
+        // directory should be: both writes fail and both are counted.
+        std::fs::create_dir(dir.join("summary.json")).expect("create blocker");
+        out.write("summary.json", "{}", "");
+        let under_a_file = dir.join("fig.csv");
+        let mut lost = OutDir::create(&under_a_file);
+        lost.write("summary.json", "{}", "");
+        assert_eq!((out.failed, lost.failed), (1, 1));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -95,6 +95,27 @@ impl StateFrames {
     pub fn words(&self) -> usize {
         2 + self.bits.len().div_ceil(32)
     }
+
+    /// The bits packed into 32-bit words: CLB `i` is bit `i % 32` of word
+    /// `i / 32`, and the unused high bits of the last word are zero. This
+    /// is the layout of the bitstream's state section and of a gate-level
+    /// circuit's saved state frames.
+    pub fn to_words(&self) -> Vec<u32> {
+        let mut words = vec![0u32; self.bits.len().div_ceil(32)];
+        for (i, &bit) in self.bits.iter().enumerate() {
+            words[i / 32] |= u32::from(bit) << (i % 32);
+        }
+        words
+    }
+
+    /// Unpack `clbs` bits from [`StateFrames::to_words`]'s layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` holds fewer than `clbs.div_ceil(32)` words.
+    pub fn from_words(words: &[u32], clbs: usize) -> Self {
+        Self { bits: (0..clbs).map(|i| words[i / 32] >> (i % 32) & 1 == 1).collect() }
+    }
 }
 
 /// A complete PFU configuration: static frames, initial state frames, and
@@ -165,19 +186,7 @@ impl Bitstream {
         }
         // State frames.
         w.push(self.initial_state.bits.len() as u32);
-        let mut acc = 0u32;
-        for (i, &b) in self.initial_state.bits.iter().enumerate() {
-            if b {
-                acc |= 1 << (i % 32);
-            }
-            if i % 32 == 31 {
-                w.push(acc);
-                acc = 0;
-            }
-        }
-        if !self.initial_state.bits.len().is_multiple_of(32) {
-            w.push(acc);
-        }
+        w.extend(self.initial_state.to_words());
         // Descriptor: inputs then outputs, with length-prefixed names.
         w.push(self.inputs.len() as u32);
         for p in &self.inputs {
@@ -239,14 +248,8 @@ impl Bitstream {
                 detail: format!("state frame covers {n_state} CLBs, fabric has {n_clbs}"),
             });
         }
-        let mut bits = Vec::with_capacity(n_state);
-        let mut word = 0u32;
-        for i in 0..n_state {
-            if i % 32 == 0 {
-                word = r.next()?;
-            }
-            bits.push(word >> (i % 32) & 1 == 1);
-        }
+        let state_words = (0..n_state.div_ceil(32)).map(|_| r.next()).collect::<Result<Vec<_>, _>>()?;
+        let initial_state = StateFrames::from_words(&state_words, n_state);
         let n_in = r.next()? as usize;
         let mut inputs = Vec::with_capacity(n_in);
         for _ in 0..n_in {
@@ -265,7 +268,7 @@ impl Bitstream {
             }
             outputs.push((name, sels));
         }
-        Ok(Self { dims, clbs, inputs, outputs, initial_state: StateFrames { bits } })
+        Ok(Self { dims, clbs, inputs, outputs, initial_state })
     }
 }
 

@@ -35,6 +35,18 @@ pub mod swi {
     pub const GETPID: u32 = 4;
 }
 
+/// Memory size in bytes of a process whose [`SpawnSpec`] names none.
+pub const DEFAULT_MEM: u32 = 1 << 20;
+
+/// Minimum run time in cycles guaranteed after a custom-instruction fault
+/// is resolved. Without it, a quantum shorter than the configuration load
+/// time livelocks under contention: every process spends its whole
+/// quantum inside the fault handler, is preempted before reissuing, and
+/// finds its circuit evicted when it runs again. The paper's quanta
+/// (1 ms / 10 ms) dwarf the 54 KB load so it never sees this; the
+/// guarantee only matters for aggressive quanta.
+pub const POST_FAULT_GRACE: u64 = 2_000;
+
 /// Kernel configuration.
 #[derive(Debug)]
 pub struct KernelConfig {
@@ -47,8 +59,6 @@ pub struct KernelConfig {
     pub policy: PolicyKind,
     /// Contention resolution mode.
     pub mode: DispatchMode,
-    /// Default per-process memory size in bytes.
-    pub default_mem: u32,
     /// Event-trace capacity: keep at most this many timeline events
     /// (see [`crate::trace::Trace`]); 0 disables tracing.
     pub trace_capacity: usize,
@@ -56,14 +66,6 @@ pub struct KernelConfig {
     /// the same configuration image share a PFU via state-frame swaps.
     /// The paper's experiments run with this off.
     pub share_circuits: bool,
-    /// Minimum run time guaranteed after a custom-instruction fault is
-    /// resolved. Without it, a quantum shorter than the configuration
-    /// load time livelocks under contention: every process spends its
-    /// whole quantum inside the fault handler, is preempted before
-    /// reissuing, and finds its circuit evicted when it runs again. The
-    /// paper's quanta (1 ms / 10 ms) dwarf the 54 KB load so it never
-    /// sees this; the guarantee only matters for aggressive quanta.
-    pub post_fault_grace: u64,
     /// Fault-injection plan (SEU arrivals, transit errors, a stuck
     /// slot, scrub cadence); `None` simulates a fault-free machine.
     pub faults: Option<FaultPlan>,
@@ -79,10 +81,8 @@ impl Default for KernelConfig {
             costs: CostModel::default(),
             policy: PolicyKind::RoundRobin,
             mode: DispatchMode::HardwareOnly,
-            default_mem: 1 << 20,
             trace_capacity: 0,
             share_circuits: false,
-            post_fault_grace: 2_000,
             faults: None,
             recovery: RecoveryPolicy::default(),
         }
@@ -112,7 +112,7 @@ impl fmt::Debug for SpawnSpec {
 
 impl SpawnSpec {
     /// Spawn `program` with defaults: entry at the program origin, the
-    /// kernel's default memory size, no circuits.
+    /// kernel's default memory size ([`DEFAULT_MEM`]), no circuits.
     pub fn new(program: &Program) -> Self {
         Self {
             words: program.words().to_vec(),
@@ -277,7 +277,7 @@ impl Kernel {
     pub fn spawn_at(&mut self, spec: SpawnSpec, at: u64) -> Result<Pid, KernelError> {
         let pid = self.next_pid;
         self.next_pid += 1;
-        let mem_size = if spec.mem_size == 0 { self.config.default_mem } else { spec.mem_size };
+        let mem_size = if spec.mem_size == 0 { DEFAULT_MEM } else { spec.mem_size };
         let mut mem = Memory::new(mem_size);
         let mut addr = spec.origin;
         for &w in &spec.words {
@@ -651,9 +651,8 @@ impl Kernel {
                     match resolution {
                         FaultResolution::Reissue { cycles } => {
                             cpu.add_cycles(cycles);
-                            // Progress guarantee (see KernelConfig).
-                            self.quantum_end =
-                                self.quantum_end.max(cpu.cycles() + self.config.post_fault_grace);
+                            // Progress guarantee (see POST_FAULT_GRACE).
+                            self.quantum_end = self.quantum_end.max(cpu.cycles() + POST_FAULT_GRACE);
                         }
                         FaultResolution::Kill { cycles } => {
                             // Charge everything the handler did before

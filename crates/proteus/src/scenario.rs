@@ -14,6 +14,10 @@ use proteus_rfu::RfuConfig;
 
 use crate::machine::{Machine, MachineConfig};
 
+/// Simulated cycles after which a scenario run stops with an error: a
+/// safety valve for runaway runs, far past any experiment's makespan.
+const CYCLE_LIMIT: u64 = 500_000_000_000;
+
 /// Builder for one run of the paper's experimental setup: between 1 and
 /// N concurrent instances of a test application (paper §5.1; "sharing is
 /// not allowed", which holds here automatically because every instance
@@ -33,7 +37,6 @@ pub struct Scenario {
     tlb_capacity: usize,
     costs: CostModel,
     share_circuits: bool,
-    cycle_limit: u64,
     trace_capacity: usize,
     faults: Option<FaultPlan>,
     recovery: RecoveryPolicy,
@@ -58,7 +61,6 @@ impl Scenario {
             tlb_capacity: 16,
             costs: CostModel::default(),
             share_circuits: false,
-            cycle_limit: 500_000_000_000,
             trace_capacity: 0,
             faults: None,
             recovery: RecoveryPolicy::default(),
@@ -137,12 +139,6 @@ impl Scenario {
         self
     }
 
-    /// Safety valve for runaway runs.
-    pub fn cycle_limit(mut self, limit: u64) -> Self {
-        self.cycle_limit = limit;
-        self
-    }
-
     /// Keep the latest `capacity` timeline events in the result (0, the
     /// default, disables tracing).
     pub fn trace_capacity(mut self, capacity: usize) -> Self {
@@ -197,12 +193,10 @@ impl Scenario {
                 costs: self.costs,
                 policy: self.policy,
                 mode: self.mode,
-                default_mem: 1 << 20,
                 share_circuits: self.share_circuits,
                 trace_capacity: self.trace_capacity,
                 faults: self.faults,
                 recovery: self.recovery,
-                ..KernelConfig::default()
             },
             rfu: RfuConfig {
                 pfus: self.pfus,
@@ -214,7 +208,7 @@ impl Scenario {
         for _ in 0..self.instances {
             machine.spawn(spec.spawn_spec(self.with_software_alt))?;
         }
-        let report = machine.run(self.cycle_limit)?;
+        let report = machine.run(CYCLE_LIMIT)?;
         let expected = spec.expected_checksum();
         let finishes: Vec<u64> = report.exited.iter().map(|(_, f, _)| *f).collect();
         let valid = report.killed.is_empty()

@@ -1,8 +1,6 @@
 //! Result series and CSV output.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 use porsche::probe::CycleLedger;
 
@@ -75,15 +73,6 @@ impl SeriesSet {
             }
         }
         out
-    }
-
-    /// Write the CSV to a file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_csv(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.to_csv())
     }
 
     /// Render an ASCII summary table (x columns, one row per series) for
@@ -163,15 +152,6 @@ impl BreakdownSet {
             out.push('\n');
         }
         out
-    }
-
-    /// Write the CSV to a file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_csv(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.to_csv())
     }
 }
 

@@ -142,34 +142,16 @@ impl PfuCircuit for NetlistCircuit {
     }
 
     fn save_state(&self) -> CircuitState {
-        let frames = self.device.save_state().expect("device is configured");
-        let mut words = Vec::with_capacity(frames.bits.len().div_ceil(32));
-        let mut acc = 0u32;
-        for (i, &b) in frames.bits.iter().enumerate() {
-            if b {
-                acc |= 1 << (i % 32);
-            }
-            if i % 32 == 31 {
-                words.push(acc);
-                acc = 0;
-            }
-        }
-        if !frames.bits.len().is_multiple_of(32) {
-            words.push(acc);
-        }
-        CircuitState(words)
+        CircuitState(self.device.save_state().expect("device is configured").to_words())
     }
 
     fn load_state(&mut self, state: &CircuitState) -> Result<(), FabricError> {
-        let bits: Vec<bool> = (0..self.clbs)
-            .map(|i| state.0.get(i / 32).is_some_and(|w| w >> (i % 32) & 1 == 1))
-            .collect();
         if state.0.len() != self.clbs.div_ceil(32) {
             return Err(FabricError::StateMismatch {
                 detail: format!("expected {} state words, got {}", self.clbs.div_ceil(32), state.0.len()),
             });
         }
-        self.device.load_state(&StateFrames { bits })
+        self.device.load_state(&StateFrames::from_words(&state.0, self.clbs))
     }
 }
 

@@ -19,6 +19,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== test =="
 cargo test -q --workspace
 
+echo "== mutation gate (scripts/mutants.txt) =="
+# Each listed one-line mutation of a fast lane or of the code beside it
+# must make its named tests fail; an entry whose original text no longer
+# matches fails too, so moving the code means updating the list.
+python3 scripts/mutants.py
+
 echo "== micro-benchmark bodies (each routine once, untimed) =="
 # Clippy only compiles the benches; `--test` runs every routine once, so
 # their set-up and the stop and checksum asserts in their bodies run too.
