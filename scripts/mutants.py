@@ -78,6 +78,10 @@ def cargo_test(args, *extra):
 
 
 def copy_tree():
+    # A copied checkout's index holds stale stat data, and on a clean tree
+    # `git stash create` then exits 1 with no output; a refresh first makes
+    # it exit 0 (with no stash on a clean tree, hence HEAD).
+    subprocess.run(["git", "update-index", "-q", "--refresh"], cwd=ROOT, check=True)
     tree = subprocess.run(["git", "stash", "create"], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout.strip() or "HEAD"
     shutil.rmtree(SRC, ignore_errors=True)
