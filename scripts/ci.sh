@@ -69,21 +69,23 @@ diff scripts/golden/fault_campaign_quick.csv "$serial_dir/fault_campaign.csv"
 diff scripts/golden/breakdown_fault_campaign_quick.csv "$serial_dir/breakdown_fault_campaign.csv"
 echo "fault campaign deterministic and matches the golden matrix and breakdown"
 
-echo "== full-scale sharing, config-split and long-instruction ablations (committed results diff) =="
-# At quick scale no Alpha run has more than four instances, so sharing
-# never swaps state and the A4 write-back path never runs; the committed
-# full-scale CSVs pin both. A6 takes no scale, so its committed CSVs pin
-# it exactly.
+echo "== full-scale repro all (committed results diff) =="
+# Every committed CSV in results/ (13 figures and their 13 cycle
+# breakdowns) must come out of a full-scale run byte for byte, and the
+# run must write no CSV that is not committed. The quick-scale goldens
+# cannot see the full-scale points: at quick scale no Alpha run has more
+# than four instances, so sharing never swaps state and the A4 write-back
+# path never runs.
 full_dir=target/ci-repro/full
 rm -rf "$full_dir"
-cargo run --release -p proteus-bench --bin repro -- \
-    --jobs 2 --out "$full_dir" sharing config-split longinstr >/dev/null
-for f in ablation_sharing.csv ablation_config_split.csv ablation_longinstr.csv \
-         breakdown_ablation_sharing.csv breakdown_ablation_config_split.csv \
-         breakdown_ablation_longinstr.csv; do
-    diff "results/$f" "$full_dir/$f"
+cargo run --release -p proteus-bench --bin repro -- --jobs 2 --out "$full_dir" all >/dev/null
+for f in results/*.csv; do
+    diff "$f" "$full_dir/$(basename "$f")"
 done
-echo "sharing, config-split and long-instruction ablations match the committed results"
+for f in "$full_dir"/*.csv; do
+    test -e "results/$(basename "$f")" || { echo "uncommitted output $f" >&2; exit 1; }
+done
+echo "all $(ls results/*.csv | wc -l) committed CSVs reproduced byte for byte"
 
 echo "== examples (each run once, release) =="
 # Clippy only compiles the examples; running them catches a change that
