@@ -48,7 +48,7 @@ pub const DEFAULT_MEM: u32 = 1 << 20;
 pub const POST_FAULT_GRACE: u64 = 2_000;
 
 /// Kernel configuration.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct KernelConfig {
     /// Scheduling quantum in cycles (paper: 10 ms and 1 ms; at the
     /// DESIGN.md 100 MHz clock those are 1 000 000 and 100 000 cycles).

@@ -92,6 +92,13 @@ impl Scale {
         let passes = (self.target_cycles / per_pass).max(1) as u32;
         (size, passes)
     }
+
+    /// One instance of `app` at [`Scale::sizing`] on the default machine:
+    /// the base scenario that each plan varies.
+    pub fn scenario(&self, app: AppKind) -> Scenario {
+        let (size, passes) = self.sizing(app);
+        Scenario::new(app).size(size).passes(passes)
+    }
 }
 
 /// Every experiment name the `repro` binary accepts, in emission order.
@@ -213,7 +220,7 @@ fn app_label(app: AppKind) -> &'static str {
 pub fn fig2_plan(scale: &Scale) -> ExperimentPlan {
     let mut plan = ExperimentPlan::new("fig2");
     for app in [AppKind::Echo, AppKind::Alpha, AppKind::Twofish] {
-        let (size, passes) = scale.sizing(app);
+        let base = scale.scenario(app);
         for (policy, pname) in [
             (PolicyKind::RoundRobin, "Round Robin"),
             (PolicyKind::Random { seed: scale.seed }, "Random"),
@@ -222,14 +229,7 @@ pub fn fig2_plan(scale: &Scale) -> ExperimentPlan {
                 plan.instance_sweep(
                     format!("{}, {}, {}", app_label(app), pname, quantum_label(quantum)),
                     scale.max_instances,
-                    |n| {
-                        Scenario::new(app)
-                            .instances(n)
-                            .size(size)
-                            .passes(passes)
-                            .quantum(quantum)
-                            .policy(policy)
-                    },
+                    base.clone().quantum(quantum).policy(policy),
                 );
             }
         }
@@ -244,32 +244,17 @@ pub fn fig2_plan(scale: &Scale) -> ExperimentPlan {
 pub fn fig3_plan(scale: &Scale) -> ExperimentPlan {
     let mut plan = ExperimentPlan::new("fig3");
     for app in [AppKind::Echo, AppKind::Alpha, AppKind::Twofish] {
-        let (size, passes) = scale.sizing(app);
         for quantum in [QUANTUM_10MS, QUANTUM_1MS] {
+            let base = scale.scenario(app).quantum(quantum).policy(PolicyKind::RoundRobin);
             plan.instance_sweep(
                 format!("{}, Round Robin, {}", app_label(app), quantum_label(quantum)),
                 scale.max_instances,
-                |n| {
-                    Scenario::new(app)
-                        .instances(n)
-                        .size(size)
-                        .passes(passes)
-                        .quantum(quantum)
-                        .policy(PolicyKind::RoundRobin)
-                },
+                base.clone(),
             );
             plan.instance_sweep(
                 format!("{}, Soft, {}", app_label(app), quantum_label(quantum)),
                 scale.max_instances,
-                |n| {
-                    Scenario::new(app)
-                        .instances(n)
-                        .size(size)
-                        .passes(passes)
-                        .quantum(quantum)
-                        .policy(PolicyKind::RoundRobin)
-                        .mode(DispatchMode::SoftwareFallback)
-                },
+                base.mode(DispatchMode::SoftwareFallback),
             );
         }
     }
@@ -285,18 +270,10 @@ pub fn fig3_plan(scale: &Scale) -> ExperimentPlan {
 pub fn speedup_plan(scale: &Scale) -> ExperimentPlan {
     let mut plan = ExperimentPlan::new("speedup");
     for app in AppKind::ALL {
-        let (size, passes) = scale.sizing(app);
+        let base = scale.scenario(app).quantum(QUANTUM_10MS);
         let series = format!("{}_cycles", app.name());
-        plan.scenario_point(
-            series.clone(),
-            0.0,
-            Scenario::new(app).size(size).passes(passes).quantum(QUANTUM_10MS),
-        );
-        plan.scenario_point(
-            series,
-            1.0,
-            Scenario::new(app).software_only().size(size).passes(passes).quantum(QUANTUM_10MS),
-        );
+        plan.scenario_point(series.clone(), 0.0, base.clone());
+        plan.scenario_point(series, 1.0, base.software_only());
     }
     plan.with_finish(|set| {
         let mut ratios = Series::new("speedup_factor");
@@ -316,7 +293,7 @@ pub fn speedup_plan(scale: &Scale) -> ExperimentPlan {
 /// swapping) under all five victim-selection policies.
 pub fn ablation_policies_plan(scale: &Scale) -> ExperimentPlan {
     let mut plan = ExperimentPlan::new("ablation_policies");
-    let (size, passes) = scale.sizing(AppKind::Alpha);
+    let base = scale.scenario(AppKind::Alpha).quantum(QUANTUM_1MS);
     for policy in [
         PolicyKind::RoundRobin,
         PolicyKind::Random { seed: scale.seed },
@@ -324,14 +301,7 @@ pub fn ablation_policies_plan(scale: &Scale) -> ExperimentPlan {
         PolicyKind::SecondChance,
         PolicyKind::Fifo,
     ] {
-        plan.instance_sweep(policy.name().to_string(), scale.max_instances, |n| {
-            Scenario::new(AppKind::Alpha)
-                .instances(n)
-                .size(size)
-                .passes(passes)
-                .quantum(QUANTUM_1MS)
-                .policy(policy)
-        });
+        plan.instance_sweep(policy.name(), scale.max_instances, base.clone().policy(policy));
     }
     plan
 }
@@ -340,19 +310,12 @@ pub fn ablation_policies_plan(scale: &Scale) -> ExperimentPlan {
 /// discussion predicts would help further.
 pub fn ablation_quanta_plan(scale: &Scale) -> ExperimentPlan {
     let mut plan = ExperimentPlan::new("ablation_quanta");
-    let (size, passes) = scale.sizing(AppKind::Alpha);
+    let base = scale.scenario(AppKind::Alpha).policy(PolicyKind::RoundRobin);
     for quantum in [QUANTUM_100MS, QUANTUM_10MS, QUANTUM_1MS] {
         plan.instance_sweep(
             format!("Alpha, RR, {}", quantum_label(quantum)),
             scale.max_instances,
-            |n| {
-                Scenario::new(AppKind::Alpha)
-                    .instances(n)
-                    .size(size)
-                    .passes(passes)
-                    .quantum(quantum)
-                    .policy(PolicyKind::RoundRobin)
-            },
+            base.clone().quantum(quantum),
         );
     }
     plan
@@ -363,19 +326,12 @@ pub fn ablation_quanta_plan(scale: &Scale) -> ExperimentPlan {
 /// could hold twice that.
 pub fn ablation_pfus_plan(scale: &Scale) -> ExperimentPlan {
     let mut plan = ExperimentPlan::new("ablation_pfus");
-    let (size, passes) = scale.sizing(AppKind::Alpha);
+    let base = scale.scenario(AppKind::Alpha).quantum(QUANTUM_10MS);
     for pfus in [2usize, 4, 6, 8] {
         plan.instance_sweep(
             format!("Alpha, RR, 10ms, {pfus} PFUs"),
             scale.max_instances,
-            |n| {
-                Scenario::new(AppKind::Alpha)
-                    .instances(n)
-                    .size(size)
-                    .passes(passes)
-                    .quantum(QUANTUM_10MS)
-                    .pfus(pfus)
-            },
+            base.clone().pfus(pfus),
         );
     }
     plan
@@ -386,17 +342,10 @@ pub fn ablation_pfus_plan(scale: &Scale) -> ExperimentPlan {
 /// configuration, doubling bus traffic per swap.
 pub fn ablation_config_split_plan(scale: &Scale) -> ExperimentPlan {
     let mut plan = ExperimentPlan::new("ablation_config_split");
-    let (size, passes) = scale.sizing(AppKind::Alpha);
+    let base = scale.scenario(AppKind::Alpha).quantum(QUANTUM_1MS);
     for (save_full, name) in [(false, "state frames only"), (true, "full config writeback")] {
         let costs = CostModel { save_full_config_on_unload: save_full, ..CostModel::default() };
-        plan.instance_sweep(name.to_string(), scale.max_instances, |n| {
-            Scenario::new(AppKind::Alpha)
-                .instances(n)
-                .size(size)
-                .passes(passes)
-                .quantum(QUANTUM_1MS)
-                .costs(costs)
-        });
+        plan.instance_sweep(name, scale.max_instances, base.clone().costs(costs));
     }
     plan
 }
@@ -406,16 +355,13 @@ pub fn ablation_config_split_plan(scale: &Scale) -> ExperimentPlan {
 /// visible but far milder than reconfiguration.
 pub fn ablation_tlb_plan(scale: &Scale) -> ExperimentPlan {
     let mut plan = ExperimentPlan::new("ablation_tlb");
-    let (size, passes) = scale.sizing(AppKind::Alpha);
+    let base = scale.scenario(AppKind::Alpha).quantum(QUANTUM_10MS);
     for slots in [2usize, 4, 16] {
-        plan.instance_sweep(format!("{slots} TLB slots"), scale.max_instances, |n| {
-            Scenario::new(AppKind::Alpha)
-                .instances(n)
-                .size(size)
-                .passes(passes)
-                .quantum(QUANTUM_10MS)
-                .tlb_capacity(slots)
-        });
+        plan.instance_sweep(
+            format!("{slots} TLB slots"),
+            scale.max_instances,
+            base.clone().tlb_capacity(slots),
+        );
     }
     plan
 }
@@ -427,24 +373,13 @@ pub fn ablation_tlb_plan(scale: &Scale) -> ExperimentPlan {
 /// deferring to the software alternative wins.
 pub fn ablation_soft_crossover_plan(scale: &Scale) -> ExperimentPlan {
     let mut plan = ExperimentPlan::new("ablation_soft_crossover");
-    let (size, passes) = scale.sizing(AppKind::Echo);
-    let n = scale.max_instances;
+    let base = scale.scenario(AppKind::Echo).instances(scale.max_instances);
     for (mode, name) in [
         (DispatchMode::HardwareOnly, "circuit switching"),
         (DispatchMode::SoftwareFallback, "software dispatch"),
     ] {
         for quantum in [QUANTUM_10MS, QUANTUM_1MS, 30_000, 10_000] {
-            plan.scenario_point(
-                name,
-                quantum as f64,
-                Scenario::new(AppKind::Echo)
-                    .instances(n)
-                    .size(size)
-                    .passes(passes)
-                    .quantum(quantum)
-                    .policy(PolicyKind::RoundRobin)
-                    .mode(mode),
-            );
+            plan.scenario_point(name, quantum as f64, base.clone().quantum(quantum).mode(mode));
         }
     }
     plan
@@ -458,17 +393,9 @@ pub fn ablation_soft_crossover_plan(scale: &Scale) -> ExperimentPlan {
 /// move ~tens of state words instead of 54 KB.
 pub fn ablation_sharing_plan(scale: &Scale) -> ExperimentPlan {
     let mut plan = ExperimentPlan::new("ablation_sharing");
-    let (size, passes) = scale.sizing(AppKind::Alpha);
+    let base = scale.scenario(AppKind::Alpha).quantum(QUANTUM_1MS);
     for (sharing, name) in [(false, "sharing off (paper setup)"), (true, "sharing on")] {
-        plan.instance_sweep(name.to_string(), scale.max_instances, |n| {
-            Scenario::new(AppKind::Alpha)
-                .instances(n)
-                .size(size)
-                .passes(passes)
-                .quantum(QUANTUM_1MS)
-                .policy(PolicyKind::RoundRobin)
-                .sharing(sharing)
-        });
+        plan.instance_sweep(name, scale.max_instances, base.clone().sharing(sharing));
     }
     plan
 }
@@ -479,10 +406,7 @@ pub fn ablation_sharing_plan(scale: &Scale) -> ExperimentPlan {
 pub fn dynamic_load_plan(scale: &Scale) -> ExperimentPlan {
     use crate::dynamic::DynamicLoad;
     let mut plan = ExperimentPlan::new("dynamic_load");
-    let (size, passes) = {
-        let (s, p) = scale.sizing(AppKind::Alpha);
-        (s, (p / 4).max(1))
-    };
+    let (size, passes) = scale.sizing(AppKind::Alpha);
     let gaps = [2_000_000u64, 500_000, 125_000, 30_000];
     for (name, mode, sharing) in [
         ("circuit switching", DispatchMode::HardwareOnly, false),
@@ -493,7 +417,7 @@ pub fn dynamic_load_plan(scale: &Scale) -> ExperimentPlan {
             let load = DynamicLoad {
                 jobs: 2 * scale.max_instances,
                 mean_interarrival: gap,
-                job_size: (size, passes),
+                job_size: (size, (passes / 4).max(1)),
                 quantum: QUANTUM_1MS,
                 mode,
                 sharing,
@@ -550,21 +474,16 @@ pub mod outcome {
 /// (x = code, y = cells).
 pub fn fault_campaign_plan(scale: &Scale) -> ExperimentPlan {
     let mut plan = ExperimentPlan::new("fault_campaign");
-    let (size, passes) = scale.sizing(AppKind::Alpha);
     let target = scale.target_cycles;
-    let base = move || {
-        Scenario::new(AppKind::Alpha)
-            .instances(5)
-            .size(size)
-            .passes(passes)
-            .quantum(QUANTUM_1MS)
-            .policy(PolicyKind::RoundRobin)
-            .pfus(4)
-            .software_alts()
-            .watchdog(5_000)
-    };
+    let base = scale
+        .scenario(AppKind::Alpha)
+        .instances(5)
+        .quantum(QUANTUM_1MS)
+        .pfus(4)
+        .software_alts()
+        .watchdog(5_000);
 
-    fault_campaign_cell(&mut plan, "baseline".into(), 0.0, base());
+    fault_campaign_cell(&mut plan, "baseline".into(), 0.0, base.clone());
 
     let policies: [(&str, RecoveryPolicy, bool); 3] = [
         ("retry", RecoveryPolicy::retry_only(2), false),
@@ -594,7 +513,7 @@ pub fn fault_campaign_plan(scale: &Scale) -> ExperimentPlan {
                     &mut plan,
                     format!("{kind}, {pname}"),
                     f64::from(severity),
-                    base().faults(fp).recovery(policy),
+                    base.clone().faults(fp).recovery(policy),
                 );
             }
         }
@@ -800,7 +719,6 @@ mod tests {
         let (set, metrics) = speedup_plan(&scale).execute(3);
         let ratios = set.series_named("speedup_factor").expect("ratios");
         assert_eq!(ratios.points.len(), AppKind::ALL.len());
-        // Ratio series is appended last, as the eager generator did.
         assert_eq!(set.series.last().expect("last").name, "speedup_factor");
         assert!(metrics.sim_cycles > 0);
     }

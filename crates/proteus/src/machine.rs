@@ -7,7 +7,7 @@ use proteus_cpu::Cpu;
 use proteus_rfu::{Rfu, RfuConfig};
 
 /// Hardware + kernel configuration for a machine.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct MachineConfig {
     /// Kernel parameters (quantum, costs, policy, dispatch mode).
     pub kernel: KernelConfig,

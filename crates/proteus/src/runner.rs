@@ -202,17 +202,13 @@ impl ExperimentPlan {
         });
     }
 
-    /// Append one job per instance count `1..=max_instances` — the shape
-    /// of every completion-time-vs-instances series in the paper.
-    pub fn instance_sweep(
-        &mut self,
-        series: impl Into<String>,
-        max_instances: usize,
-        build: impl Fn(usize) -> Scenario,
-    ) {
+    /// Append one job per instance count `1..=max_instances`, each running
+    /// `base` with that many instances — the shape of every
+    /// completion-time-vs-instances series in the paper.
+    pub fn instance_sweep(&mut self, series: impl Into<String>, max_instances: usize, base: Scenario) {
         let series = series.into();
         for n in 1..=max_instances {
-            self.scenario_point(series.clone(), n as f64, build(n));
+            self.scenario_point(series.clone(), n as f64, base.clone().instances(n));
         }
     }
 

@@ -1,16 +1,15 @@
-//! One experimental run: N instances of a workload under a scheduling
+//! One experimental run: N instances of a workload on one machine
 //! configuration.
 
 use porsche::cis::DispatchMode;
 use porsche::costs::CostModel;
 use porsche::fault::{FaultPlan, RecoveryPolicy};
-use porsche::kernel::{KernelConfig, KernelError};
+use porsche::kernel::KernelError;
 use porsche::policy::PolicyKind;
 use porsche::probe::{AttributedLedger, CycleLedger, Event, Tag};
 use porsche::stats::KernelStats;
 use proteus_apps::workload::{WorkloadConfig, WorkloadSpec};
 use proteus_apps::AppKind;
-use proteus_rfu::RfuConfig;
 
 use crate::machine::{Machine, MachineConfig};
 
@@ -21,7 +20,8 @@ const CYCLE_LIMIT: u64 = 500_000_000_000;
 /// Builder for one run of the paper's experimental setup: between 1 and
 /// N concurrent instances of a test application (paper §5.1; "sharing is
 /// not allowed", which holds here automatically because every instance
-/// registers its own circuit instances).
+/// registers its own circuit instances) on one [`MachineConfig`]. Each
+/// setter from [`Scenario::quantum`] on writes one field of that config.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     app: AppKind,
@@ -29,23 +29,13 @@ pub struct Scenario {
     instances: usize,
     size: usize,
     passes: u32,
-    quantum: u64,
-    policy: PolicyKind,
-    mode: DispatchMode,
     with_software_alt: bool,
-    pfus: usize,
-    tlb_capacity: usize,
-    costs: CostModel,
-    share_circuits: bool,
-    trace_capacity: usize,
-    faults: Option<FaultPlan>,
-    recovery: RecoveryPolicy,
-    watchdog_cycles: Option<u64>,
+    machine: MachineConfig,
 }
 
 impl Scenario {
-    /// A single accelerated instance with small defaults; chain setters
-    /// to describe the experiment.
+    /// A single accelerated instance with small defaults on the default
+    /// machine; chain setters to describe the experiment.
     pub fn new(app: AppKind) -> Self {
         Self {
             app,
@@ -53,18 +43,8 @@ impl Scenario {
             instances: 1,
             size: default_size(app),
             passes: 4,
-            quantum: 1_000_000,
-            policy: PolicyKind::RoundRobin,
-            mode: DispatchMode::HardwareOnly,
             with_software_alt: false,
-            pfus: 4,
-            tlb_capacity: 16,
-            costs: CostModel::default(),
-            share_circuits: false,
-            trace_capacity: 0,
-            faults: None,
-            recovery: RecoveryPolicy::default(),
-            watchdog_cycles: None,
+            machine: MachineConfig::default(),
         }
     }
 
@@ -86,85 +66,9 @@ impl Scenario {
         self
     }
 
-    /// Scheduling quantum in cycles.
-    pub fn quantum(mut self, cycles: u64) -> Self {
-        self.quantum = cycles;
-        self
-    }
-
-    /// PFU replacement policy.
-    pub fn policy(mut self, policy: PolicyKind) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Contention resolution mode. [`DispatchMode::SoftwareFallback`]
-    /// implies registering the software alternatives.
-    pub fn mode(mut self, mode: DispatchMode) -> Self {
-        self.mode = mode;
-        if mode == DispatchMode::SoftwareFallback {
-            self.with_software_alt = true;
-        }
-        self
-    }
-
     /// Use the pure-software program variant (no custom instructions).
     pub fn software_only(mut self) -> Self {
         self.accelerated = false;
-        self
-    }
-
-    /// Number of PFUs (paper: 4).
-    pub fn pfus(mut self, pfus: usize) -> Self {
-        self.pfus = pfus;
-        self
-    }
-
-    /// Dispatch-TLB capacity.
-    pub fn tlb_capacity(mut self, slots: usize) -> Self {
-        self.tlb_capacity = slots;
-        self
-    }
-
-    /// Override the kernel cost model.
-    pub fn costs(mut self, costs: CostModel) -> Self {
-        self.costs = costs;
-        self
-    }
-
-    /// Enable §4.2 circuit sharing: same-image circuits share a PFU via
-    /// state-frame swaps. The paper's experiments disable this.
-    pub fn sharing(mut self, on: bool) -> Self {
-        self.share_circuits = on;
-        self
-    }
-
-    /// Keep the latest `capacity` timeline events in the result (0, the
-    /// default, disables tracing).
-    pub fn trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
-        self
-    }
-
-    /// Inject faults per `plan` (DESIGN.md §9). Pair with
-    /// [`Scenario::watchdog`] so hung slots are actually detected.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// How far the kernel's fault handler climbs the recovery ladder
-    /// (retry → software failover → quarantine).
-    pub fn recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Per-PFU watchdog allowance: clocks a slot may accumulate without
-    /// raising `done` before the RFU trips a fault (`None` disables —
-    /// the seed behaviour).
-    pub fn watchdog(mut self, cycles: u64) -> Self {
-        self.watchdog_cycles = Some(cycles);
         self
     }
 
@@ -173,6 +77,82 @@ impl Scenario {
     /// failover rung has a software path to fall back on.
     pub fn software_alts(mut self) -> Self {
         self.with_software_alt = true;
+        self
+    }
+
+    /// Scheduling quantum in cycles.
+    pub fn quantum(mut self, cycles: u64) -> Self {
+        self.machine.kernel.quantum = cycles;
+        self
+    }
+
+    /// PFU replacement policy.
+    pub fn policy(mut self, policy: PolicyKind) -> Self {
+        self.machine.kernel.policy = policy;
+        self
+    }
+
+    /// Contention resolution mode. [`DispatchMode::SoftwareFallback`]
+    /// implies registering the software alternatives.
+    pub fn mode(mut self, mode: DispatchMode) -> Self {
+        self.machine.kernel.mode = mode;
+        if mode == DispatchMode::SoftwareFallback {
+            self.with_software_alt = true;
+        }
+        self
+    }
+
+    /// Override the kernel cost model.
+    pub fn costs(mut self, costs: CostModel) -> Self {
+        self.machine.kernel.costs = costs;
+        self
+    }
+
+    /// Enable §4.2 circuit sharing: same-image circuits share a PFU via
+    /// state-frame swaps. The paper's experiments disable this.
+    pub fn sharing(mut self, on: bool) -> Self {
+        self.machine.kernel.share_circuits = on;
+        self
+    }
+
+    /// Keep the latest `capacity` timeline events in the result (0, the
+    /// default, disables tracing).
+    pub fn trace_capacity(mut self, capacity: usize) -> Self {
+        self.machine.kernel.trace_capacity = capacity;
+        self
+    }
+
+    /// Inject faults per `plan` (DESIGN.md §9). Pair with
+    /// [`Scenario::watchdog`] so hung slots are actually detected.
+    pub fn faults(mut self, plan: FaultPlan) -> Self {
+        self.machine.kernel.faults = Some(plan);
+        self
+    }
+
+    /// How far the kernel's fault handler climbs the recovery ladder
+    /// (retry → software failover → quarantine).
+    pub fn recovery(mut self, recovery: RecoveryPolicy) -> Self {
+        self.machine.kernel.recovery = recovery;
+        self
+    }
+
+    /// Number of PFUs (paper: 4).
+    pub fn pfus(mut self, pfus: usize) -> Self {
+        self.machine.rfu.pfus = pfus;
+        self
+    }
+
+    /// Dispatch-TLB capacity.
+    pub fn tlb_capacity(mut self, slots: usize) -> Self {
+        self.machine.rfu.tlb_capacity = slots;
+        self
+    }
+
+    /// Per-PFU watchdog allowance: clocks a slot may accumulate without
+    /// raising `done` before the RFU trips a fault (`None` disables —
+    /// the seed behaviour).
+    pub fn watchdog(mut self, cycles: u64) -> Self {
+        self.machine.rfu.watchdog_cycles = Some(cycles);
         self
     }
 
@@ -187,24 +167,7 @@ impl Scenario {
             cfg = cfg.software();
         }
         let spec = WorkloadSpec::build(cfg);
-        let mut machine = Machine::new(MachineConfig {
-            kernel: KernelConfig {
-                quantum: self.quantum,
-                costs: self.costs,
-                policy: self.policy,
-                mode: self.mode,
-                share_circuits: self.share_circuits,
-                trace_capacity: self.trace_capacity,
-                faults: self.faults,
-                recovery: self.recovery,
-            },
-            rfu: RfuConfig {
-                pfus: self.pfus,
-                tlb_capacity: self.tlb_capacity,
-                watchdog_cycles: self.watchdog_cycles,
-                ..RfuConfig::default()
-            },
-        });
+        let mut machine = Machine::new(self.machine.clone());
         for _ in 0..self.instances {
             machine.spawn(spec.spawn_spec(self.with_software_alt))?;
         }
@@ -282,7 +245,7 @@ mod tests {
     fn single_instance_valid_for_each_app() {
         for app in AppKind::ALL {
             let r = Scenario::new(app).size(16).passes(1).run().expect("run");
-            assert!(r.all_valid(), "{app:?}: {r:?}");
+            assert!(r.valid, "{app:?}: {r:?}");
         }
     }
 
@@ -303,7 +266,7 @@ mod tests {
         assert_eq!(no_contention.stats.evictions, 0, "{:?}", no_contention.stats);
         let contention = run(5);
         assert!(contention.stats.evictions > 0, "{:?}", contention.stats);
-        assert!(contention.all_valid());
+        assert!(contention.valid);
     }
 
     #[test]
@@ -322,7 +285,7 @@ mod tests {
         assert_eq!(fits.stats.evictions, 0, "{:?}", fits.stats);
         let thrash = run(3);
         assert!(thrash.stats.evictions > 0, "{:?}", thrash.stats);
-        assert!(thrash.all_valid());
+        assert!(thrash.valid);
     }
 
     #[test]
@@ -335,7 +298,7 @@ mod tests {
             .mode(DispatchMode::SoftwareFallback)
             .run()
             .expect("run");
-        assert!(r.all_valid());
+        assert!(r.valid);
         assert!(r.stats.software_installs >= 2, "{:?}", r.stats);
         assert_eq!(r.stats.evictions, 0, "{:?}", r.stats);
     }
