@@ -9,10 +9,11 @@
 //!
 //! # Determinism
 //!
-//! Result assembly is decoupled from execution order: workers store each
-//! job's output in a slot indexed by the job's position in the plan, and
-//! the [`SeriesSet`] is assembled by walking the jobs in plan order,
-//! appending points to their series in first-mention order. A plan
+//! Result assembly is decoupled from execution order: workers pull jobs
+//! from one queue and send back each output tagged with the job's
+//! position in the plan, and the [`SeriesSet`] is assembled from the
+//! outputs in plan order, appending points to their series in
+//! first-mention order. A plan
 //! therefore produces a **byte-identical CSV at any worker count** —
 //! `--jobs 1` and `--jobs 8` differ only in wall time. Each simulation
 //! is itself deterministic (seeded policies, no wall-clock inputs), so
@@ -27,8 +28,7 @@
 //! for `results/summary.json`.
 
 use std::panic;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{mpsc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use porsche::probe::AttributedLedger;
@@ -196,7 +196,7 @@ impl ExperimentPlan {
         let label = series.clone();
         self.push_job(series, move || {
             let result = scenario.run().unwrap_or_else(|e| panic!("{label} x={x}: {e}"));
-            assert!(result.all_valid(), "{label} x={x}: checksum mismatch");
+            assert!(result.valid, "{label} x={x}: checksum mismatch");
             JobOutput::point(x, result.makespan as f64, result.makespan)
                 .with_breakdown(x, result.attributed)
         });
@@ -228,62 +228,44 @@ impl ExperimentPlan {
     /// # Panics
     ///
     /// Re-raises the first job panic (checksum mismatches and simulation
-    /// errors are job panics, exactly as in the old eager generators).
+    /// errors are job panics).
     pub fn execute(self, workers: usize) -> (SeriesSet, PlanMetrics) {
         let figure = self.figure;
         let n = self.jobs.len();
         let workers = workers.max(1).min(n.max(1));
         let t0 = Instant::now();
 
-        // Split names (needed for assembly) from the closures (consumed
-        // by workers). Slot i of `results` belongs to job i.
-        let mut names = Vec::with_capacity(n);
-        let mut runs = Vec::with_capacity(n);
-        for job in self.jobs {
-            names.push(job.series);
-            runs.push(Mutex::new(Some(job.run)));
-        }
-        let results: Vec<Mutex<Option<(JobOutput, Duration)>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-
-        if n > 0 {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(|| loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            // A poisoned slot lock only means another
-                            // worker panicked mid-`take`; the closure
-                            // itself runs outside the lock, so the data
-                            // is still sound to claim.
-                            let run = runs[i]
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .take();
-                            let Some(run) = run else {
-                                // The fetch_add ticket hands out each
-                                // index exactly once.
-                                debug_assert!(false, "job {i} claimed twice");
-                                continue;
-                            };
-                            let t = Instant::now();
-                            let output = run();
-                            *results[i].lock().unwrap_or_else(PoisonError::into_inner) =
-                                Some((output, t.elapsed()));
-                        })
+        // Names stay here for assembly; workers pull the closures from one
+        // queue and send back each output tagged with its plan index.
+        let (names, runs): (Vec<String>, Vec<_>) =
+            self.jobs.into_iter().map(|job| (job.series, job.run)).unzip();
+        let queue = Mutex::new(runs.into_iter().enumerate());
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let (queue, done_tx) = (&queue, done_tx.clone());
+                    s.spawn(move || loop {
+                        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                        let Some((i, run)) = next else { break };
+                        let t = Instant::now();
+                        let output = run();
+                        // `done_rx` outlives every worker.
+                        let _ = done_tx.send((i, output, t.elapsed()));
                     })
-                    .collect();
-                for h in handles {
-                    if let Err(payload) = h.join() {
-                        panic::resume_unwind(payload);
-                    }
+                })
+                .collect();
+            for h in handles {
+                if let Err(payload) = h.join() {
+                    panic::resume_unwind(payload);
                 }
-            });
-        }
+            }
+        });
+        drop(done_tx);
+        // Every job ran exactly once (a panic re-raised above), so sorting
+        // by plan index lines the outputs up with `names`.
+        let mut done: Vec<_> = done_rx.iter().collect();
+        done.sort_unstable_by_key(|&(i, ..)| i);
 
         // Deterministic assembly: plan order, first-mention series order.
         // PROTEUS_JOB_TIMES=1 dumps one timing line per job to stderr —
@@ -294,14 +276,7 @@ impl ExperimentPlan {
         let mut attributed = AttributedLedger::default();
         let mut job_wall = Duration::ZERO;
         let mut sim_cycles = 0u64;
-        for (i, name) in names.iter().enumerate() {
-            let slot = results[i].lock().unwrap_or_else(PoisonError::into_inner).take();
-            let Some((output, dur)) = slot else {
-                // Worker panics re-raise before assembly, so a job that
-                // ran left a result; an empty slot is unreachable.
-                debug_assert!(false, "job {i} produced no result");
-                continue;
-            };
+        for (name, (i, output, dur)) in names.iter().zip(done) {
             if job_times {
                 eprintln!(
                     "[job {i:>3}] {:>8.3}s {:>14} cyc {:>9.3e} cyc/s  {name}",
@@ -415,8 +390,6 @@ mod tests {
         });
         let (set, _) = plan.execute(3);
         assert_eq!(set.series.last().expect("derived").points[0].y, 180.0);
-        // The derived series lands after all job series, as in the old
-        // eager generators.
         assert_eq!(set.series.last().expect("derived").name, "sum");
     }
 
