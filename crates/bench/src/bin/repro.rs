@@ -108,7 +108,7 @@ fn run_demo(app: AppKind, quick: bool) -> ScenarioResult {
     let result = demo_scenario(app, quick)
         .run()
         .unwrap_or_else(|e| panic!("demo scenario {name}: {e}"));
-    assert!(result.all_valid(), "demo scenario {name}: checksum mismatch");
+    assert!(result.valid, "demo scenario {name}: checksum mismatch");
     result
 }
 

@@ -44,7 +44,7 @@ fn transient_seus_recover_by_retry_reconfiguration() {
         .recovery(RecoveryPolicy::retry_only(2))
         .run()
         .expect("run");
-    assert!(faulty.all_valid(), "SEU recovery must preserve results: {:?}", faulty.stats);
+    assert!(faulty.valid, "SEU recovery must preserve results: {:?}", faulty.stats);
     assert!(faulty.stats.seu_strikes > 0, "{:?}", faulty.stats);
     assert!(faulty.stats.crc_errors > 0, "strikes must surface as CRC mismatches");
     assert!(faulty.stats.recovery_retries > 0, "repairs go through retry reloads");
@@ -56,7 +56,7 @@ fn transient_seus_recover_by_retry_reconfiguration() {
     // slowdown is exactly the attributed fault work (same schedule
     // otherwise on a single-PFU machine).
     let clean = scenario(1, 1).run().expect("clean run");
-    assert!(clean.all_valid());
+    assert!(clean.valid);
     assert!(faulty.makespan > clean.makespan, "burned + repair cycles must show up");
 }
 
@@ -74,7 +74,7 @@ fn hung_pfu_fails_over_to_software_dispatch() {
         })
         .run()
         .expect("run");
-    assert!(faulty.all_valid(), "software path must produce identical results");
+    assert!(faulty.valid, "software path must produce identical results");
     assert!(faulty.stats.pfu_faults > 0, "{:?}", faulty.stats);
     assert_eq!(faulty.stats.fault_failovers, 1, "{:?}", faulty.stats);
     assert_eq!(faulty.stats.quarantines, 0, "quarantine was disabled");
@@ -100,14 +100,14 @@ fn persistent_fault_quarantines_the_slot_and_relocates() {
         .recovery(RecoveryPolicy::default())
         .run()
         .expect("run");
-    assert!(faulty.all_valid(), "relocation must preserve results: {:?}", faulty.stats);
+    assert!(faulty.valid, "relocation must preserve results: {:?}", faulty.stats);
     assert!(faulty.stats.pfu_faults >= 3, "three strikes before quarantine");
     assert_eq!(faulty.stats.quarantines, 1, "{:?}", faulty.stats);
     assert_eq!(faulty.stats.fault_failovers, 0, "hardware kept working via relocation");
     assert_fault_work_attributed(&faulty);
 
     let clean = scenario(4, 2).run().expect("clean run");
-    assert!(clean.all_valid());
+    assert!(clean.valid);
     assert!(
         faulty.makespan > clean.makespan,
         "burned budgets + relocation cost throughput: {} vs {}",
@@ -126,7 +126,7 @@ fn retry_only_policy_cannot_survive_a_hard_fault() {
         .recovery(RecoveryPolicy::retry_only(2))
         .run()
         .expect("run");
-    assert!(!r.all_valid(), "nothing can finish on the only, dead, PFU");
+    assert!(!r.valid, "nothing can finish on the only, dead, PFU");
     assert!(r.stats.kills > 0, "{:?}", r.stats);
     assert_eq!(r.ledger.total(), r.total_cycles, "conservation holds even for kills");
 }
@@ -146,7 +146,7 @@ fn scrubbing_repairs_corruption_before_dispatch_hits_it() {
         .recovery(RecoveryPolicy::default())
         .run()
         .expect("run");
-    assert!(r.all_valid());
+    assert!(r.valid);
     assert!(r.stats.seu_strikes > 0, "{:?}", r.stats);
     assert!(r.stats.recovery_retries > 0, "scrub repairs are retry reloads");
     assert!(

@@ -55,7 +55,7 @@ fn folded_stacks_are_byte_identical_at_any_worker_count() {
 #[test]
 fn folded_lines_use_the_declared_vocabulary() {
     let result = demo_scenario(AppKind::Alpha, true).run().expect("demo runs");
-    assert!(result.all_valid());
+    assert!(result.valid);
     let folded = result.attributed.to_folded("alpha");
     assert!(!folded.is_empty());
     for line in folded.lines() {
@@ -99,7 +99,7 @@ fn assert_balanced_json(doc: &str) {
 #[test]
 fn chrome_trace_schema_is_sane() {
     let result = demo_scenario(AppKind::Echo, true).run().expect("demo runs");
-    assert!(result.all_valid());
+    assert!(result.valid);
     let json = chrome_trace_json("echo", &result.trace, result.trace_dropped, result.total_cycles);
     assert_balanced_json(&json);
     assert!(json.starts_with("{\"traceEvents\":["));

@@ -48,7 +48,7 @@ proptest! {
             .mode(mode)
             .run()
             .expect("run completes");
-        prop_assert!(result.all_valid(), "{:?}", result);
+        prop_assert!(result.valid, "{:?}", result);
     }
 
     /// No contention below the PFU limit: N single-circuit instances on
@@ -63,7 +63,7 @@ proptest! {
             .pfus(instances + extra_pfus)
             .run()
             .expect("run");
-        prop_assert!(result.all_valid());
+        prop_assert!(result.valid);
         prop_assert_eq!(result.stats.evictions, 0);
         prop_assert_eq!(result.stats.config_loads, instances as u64);
     }
@@ -81,7 +81,7 @@ proptest! {
                 .quantum(quantum)
                 .run()
                 .expect("run");
-            prop_assert!(result.all_valid());
+            prop_assert!(result.valid);
             prop_assert!(result.makespan > last, "n={n}: {} <= {last}", result.makespan);
             last = result.makespan;
         }
@@ -103,7 +103,7 @@ proptest! {
             .costs(CostModel { save_full_config_on_unload: true, ..CostModel::default() })
             .run()
             .expect("naive run");
-        prop_assert!(split.all_valid() && naive.all_valid());
+        prop_assert!(split.valid && naive.valid);
         prop_assert!(
             split.stats.config_words_moved <= naive.stats.config_words_moved,
             "split {} > naive {}",
@@ -126,7 +126,7 @@ proptest! {
             .mode(DispatchMode::SoftwareFallback)
             .run()
             .expect("run");
-        prop_assert!(result.all_valid());
+        prop_assert!(result.valid);
         prop_assert_eq!(result.stats.evictions, 0, "{:?}", result.stats);
         prop_assert!(result.stats.software_installs >= 1, "{:?}", result.stats);
         // Loads can exceed the PFU count only when exits free PFUs; they
@@ -167,7 +167,7 @@ fn five_instances_on_overcommitted_pfus_stay_valid() {
                         .run()
                         .expect("run completes");
                     assert!(
-                        result.all_valid(),
+                        result.valid,
                         "{app:?} {policy:?} {mode:?} q={quantum} pfus={pfus}: {result:?}"
                     );
                 }

@@ -8,9 +8,9 @@
 //! * [`machine::Machine`] — a complete ProteanARM workstation:
 //!   [`proteus_cpu::Cpu`] core + [`proteus_rfu::Rfu`] reconfigurable
 //!   function unit + [`porsche::Kernel`];
-//! * [`scenario::Scenario`] — one experimental run: an application,
-//!   an instance count, a quantum, a replacement policy and a dispatch
-//!   mode, with end-to-end checksum validation;
+//! * [`scenario::Scenario`] — one experimental run: a workload (an
+//!   application, an instance count, its size) on a
+//!   [`machine::MachineConfig`], with end-to-end checksum validation;
 //! * [`experiment`] — generators for every figure of the paper's
 //!   evaluation (Figure 2, Figure 3, the speedup claim) plus the
 //!   ablations listed in DESIGN.md;
@@ -32,7 +32,7 @@
 //!     .size(64)
 //!     .passes(2)
 //!     .run()?;
-//! assert!(result.all_valid());
+//! assert!(result.valid);
 //! assert!(result.makespan > 0);
 //! # Ok(())
 //! # }

@@ -173,13 +173,11 @@ impl Scenario {
         }
         let report = machine.run(CYCLE_LIMIT)?;
         let expected = spec.expected_checksum();
-        let finishes: Vec<u64> = report.exited.iter().map(|(_, f, _)| *f).collect();
         let valid = report.killed.is_empty()
             && report.exited.len() == self.instances
             && report.exited.iter().all(|(_, _, code)| *code == expected);
         Ok(ScenarioResult {
             makespan: report.makespan,
-            finishes,
             stats: report.stats,
             ledger: report.ledger,
             attributed: report.attributed,
@@ -187,7 +185,6 @@ impl Scenario {
             trace_dropped: machine.kernel().trace().dropped(),
             total_cycles: machine.cycles(),
             valid,
-            expected_checksum: expected,
         })
     }
 }
@@ -206,8 +203,6 @@ pub struct ScenarioResult {
     /// Completion time of the last process, in cycles (the paper's
     /// y-axis).
     pub makespan: u64,
-    /// Per-process finish cycles, PID order.
-    pub finishes: Vec<u64>,
     /// Kernel management statistics.
     pub stats: KernelStats,
     /// Where every simulated cycle went (folded from the event stream).
@@ -224,17 +219,8 @@ pub struct ScenarioResult {
     /// Total simulated cycles, including post-makespan idle time; equals
     /// [`CycleLedger::total`] of `ledger`.
     pub total_cycles: u64,
-    /// All processes exited with the reference checksum.
+    /// Every instance exited with the reference checksum.
     pub valid: bool,
-    /// The reference checksum.
-    pub expected_checksum: u32,
-}
-
-impl ScenarioResult {
-    /// Whether every instance computed the correct result.
-    pub fn all_valid(&self) -> bool {
-        self.valid
-    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .quantum(100_000) // 1 ms at 100 MHz
             .policy(PolicyKind::RoundRobin)
             .run()?;
-        assert!(result.all_valid(), "every instance must compute the right image");
+        assert!(result.valid, "every instance must compute the right image");
         println!(
             "{:>4} {:>14} {:>8} {:>8} {:>10} {:>12}",
             n,

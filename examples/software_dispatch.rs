@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .policy(PolicyKind::RoundRobin)
             .mode(DispatchMode::SoftwareFallback)
             .run()?;
-        assert!(swap.all_valid() && soft.all_valid());
+        assert!(swap.valid && soft.valid);
         println!(
             "{:>4} {:>16} {:>16} {:>10} {:>12}",
             n, swap.makespan, soft.makespan, swap.stats.evictions, soft.stats.software_installs,
