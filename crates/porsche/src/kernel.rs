@@ -27,10 +27,6 @@ pub mod swi {
     pub const YIELD: u32 = 1;
     /// Append `r0 & 0xFF` to the process console.
     pub const PUTC: u32 = 2;
-    /// Register custom instruction `r0` (CID) from slot `r1` of the
-    /// spawn-time circuit table, with software alternative at `r2`
-    /// (0 = none).
-    pub const REGISTER: u32 = 3;
     /// Return the caller's PID in `r0`.
     pub const GETPID: u32 = 4;
 }
@@ -96,7 +92,6 @@ pub struct SpawnSpec {
     entry: u32,
     mem_size: u32,
     circuits: Vec<CircuitSpec>,
-    circuit_table: Vec<Option<CircuitSpec>>,
 }
 
 impl fmt::Debug for SpawnSpec {
@@ -120,7 +115,6 @@ impl SpawnSpec {
             entry: program.origin(),
             mem_size: 0, // 0 = kernel default
             circuits: Vec::new(),
-            circuit_table: Vec::new(),
         }
     }
 
@@ -140,14 +134,6 @@ impl SpawnSpec {
     pub fn circuit(mut self, spec: CircuitSpec) -> Self {
         self.circuits.push(spec);
         self
-    }
-
-    /// Provide a circuit for later guest-side `swi #3` registration; the
-    /// returned index goes in `r1`.
-    pub fn table_circuit(mut self, spec: CircuitSpec) -> (Self, u32) {
-        self.circuit_table.push(Some(spec));
-        let idx = self.circuit_table.len() as u32 - 1;
-        (self, idx)
     }
 }
 
@@ -304,7 +290,6 @@ impl Kernel {
                 rfu_regs: [0; 16],
                 operand_block: [0; 5],
                 state: ProcState::Ready,
-                circuit_table: spec.circuit_table,
                 finish_cycle: None,
                 console: Vec::new(),
             },
@@ -511,25 +496,6 @@ impl Kernel {
                 let byte = (cpu.reg(0) & 0xFF) as u8;
                 if let Some(p) = self.procs.get_mut(&pid) {
                     p.console.push(byte);
-                }
-            }
-            swi::REGISTER => {
-                let key = TupleKey::new(pid, (cpu.reg(0) & 0xFF) as u8);
-                let idx = cpu.reg(1) as usize;
-                let sw = cpu.reg(2);
-                let spec = self
-                    .procs
-                    .get_mut(&pid)
-                    .and_then(|p| p.circuit_table.get_mut(idx))
-                    .and_then(Option::take);
-                let registered = spec.is_some_and(|mut spec| {
-                    if sw != 0 {
-                        spec.software_alt = Some(sw);
-                    }
-                    self.cis.register(key, spec)
-                });
-                if !registered {
-                    self.terminate(ProcState::Killed, cpu, rfu);
                 }
             }
             swi::GETPID => {
@@ -800,29 +766,16 @@ mod tests {
 
     #[test]
     fn unregistered_cid_kills_process() {
-        let p = assemble("pfu 9, r0, r0, r0\n swi #0\n").expect("asm");
-        let mut k = Kernel::new(KernelConfig::default());
-        let pid = k.spawn(SpawnSpec::new(&p)).expect("spawn");
-        let (mut cpu, mut rfu) = machine();
-        let report = k.run(&mut cpu, &mut rfu, 1_000_000).expect("run");
-        assert_eq!(report.killed, vec![pid]);
-    }
-
-    #[test]
-    fn guest_side_registration_via_swi() {
-        let src = "mov r0, #5\n mov r1, #0\n mov r2, #0\n swi #3\n\
-                   mov r0, #8\n mov r1, #9\n pfu 5, r3, r0, r1\n mov r0, r3\n swi #0\n";
-        let p = assemble(src).expect("asm");
-        let (spec, idx) = SpawnSpec::new(&p).table_circuit(CircuitSpec {
-            cid: 5,
-            circuit: Box::new(FixedLatency::new("mul", 2, 4, |a, b| a.wrapping_mul(b))),
-            software_alt: None, image: None });
-        assert_eq!(idx, 0);
-        let mut k = Kernel::new(KernelConfig::default());
-        k.spawn(spec).expect("spawn");
-        let (mut cpu, mut rfu) = machine();
-        let report = k.run(&mut cpu, &mut rfu, 10_000_000).expect("run");
-        assert_eq!(report.exited[0].2, 72);
+        // Circuits register only at spawn: `swi #3` is an unknown
+        // syscall and kills like any other.
+        for src in ["pfu 9, r0, r0, r0\n swi #0\n", "mov r0, #5\n swi #3\n swi #0\n"] {
+            let p = assemble(src).expect("asm");
+            let mut k = Kernel::new(KernelConfig::default());
+            let pid = k.spawn(SpawnSpec::new(&p)).expect("spawn");
+            let (mut cpu, mut rfu) = machine();
+            let report = k.run(&mut cpu, &mut rfu, 1_000_000).expect("run");
+            assert_eq!(report.killed, vec![pid], "{src}");
+        }
     }
 
     #[test]

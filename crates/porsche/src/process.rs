@@ -124,9 +124,6 @@ pub struct Process {
     pub operand_block: [u32; 5],
     /// Lifecycle state.
     pub state: ProcState,
-    /// Circuits handed to the process at spawn for later `swi #3`
-    /// registration (index = `r1`).
-    pub circuit_table: Vec<Option<CircuitSpec>>,
     /// Cycle at which the process left the Ready state.
     pub finish_cycle: Option<u64>,
     /// Bytes written via the `putc` syscall.
