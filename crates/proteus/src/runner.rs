@@ -13,11 +13,11 @@
 //! from one queue and send back each output tagged with the job's
 //! position in the plan, and the [`SeriesSet`] is assembled from the
 //! outputs in plan order, appending points to their series in
-//! first-mention order. A plan
-//! therefore produces a **byte-identical CSV at any worker count** —
-//! `--jobs 1` and `--jobs 8` differ only in wall time. Each simulation
-//! is itself deterministic (seeded policies, no wall-clock inputs), so
-//! this holds for the values too, not just the ordering.
+//! first-mention order. A plan therefore produces a **byte-identical CSV
+//! at any worker count** — `--jobs 1` and `--jobs 8` differ only in wall
+//! time. Each simulation is itself deterministic (seeded policies, no
+//! wall-clock inputs), so this holds for the values too, not just the
+//! ordering.
 //!
 //! # Instrumentation
 //!
@@ -240,7 +240,11 @@ impl ExperimentPlan {
         let (names, runs): (Vec<String>, Vec<_>) =
             self.jobs.into_iter().map(|job| (job.series, job.run)).unzip();
         let queue = Mutex::new(runs.into_iter().enumerate());
-        let (done_tx, done_rx) = mpsc::channel();
+        // Room for every output, so no send blocks. The bounded channel
+        // allocates its buffer here, once; an unbounded one allocates its
+        // blocks on the workers, which raised perfbench's peak RSS from
+        // 13.6 to 16.7 MB on `mgmt_storm` (glibc per-thread arenas).
+        let (done_tx, done_rx) = mpsc::sync_channel(n);
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
