@@ -7,7 +7,8 @@ Each entry of scripts/mutants.txt names one source edit (a file, original
 text that must occur exactly once, its replacement) and the test targets
 that must fail with it. The script copies the tracked files of the
 working tree (`git stash create`, or HEAD on a clean tree) with
-`git archive` into target/mutants/src, then:
+`git archive` into target/mutants/src (a tree exported without its
+repository is copied whole, minus target/), then:
 
 1. checks every entry's original text against the copy: a text that no
    longer occurs exactly once marks the entry stale;
@@ -78,13 +79,19 @@ def cargo_test(args, *extra):
 
 
 def copy_tree():
+    shutil.rmtree(SRC, ignore_errors=True)
+    top = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=ROOT, capture_output=True,
+                         text=True)
+    if top.returncode != 0 or os.path.realpath(top.stdout.strip()) != os.path.realpath(ROOT):
+        # An exported tree (`git archive`) has no repository: copy it whole.
+        shutil.copytree(ROOT, SRC, ignore=shutil.ignore_patterns("target"))
+        return
     # A copied checkout's index holds stale stat data, and on a clean tree
     # `git stash create` then exits 1 with no output; a refresh first makes
     # it exit 0 (with no stash on a clean tree, hence HEAD).
     subprocess.run(["git", "update-index", "-q", "--refresh"], cwd=ROOT, check=True)
     tree = subprocess.run(["git", "stash", "create"], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout.strip() or "HEAD"
-    shutil.rmtree(SRC, ignore_errors=True)
     os.makedirs(SRC)
     archive = subprocess.run(["git", "archive", tree], cwd=ROOT, capture_output=True, check=True)
     subprocess.run(["tar", "-x", "-C", SRC], input=archive.stdout, check=True)
