@@ -626,7 +626,7 @@ mod tests {
 
     fn run_one(built: &BuiltProgram, circuits: Vec<CircuitSpec>) -> (u32, u64) {
         let entry = built.program.symbol("start").expect("start label");
-        let mut spec = SpawnSpec::new(&built.program).entry(entry).mem_size(1 << 20);
+        let mut spec = SpawnSpec::new(&built.program).entry(entry);
         for c in circuits {
             spec = spec.circuit(c);
         }
@@ -740,7 +740,6 @@ mod tests {
             .spawn(
                 SpawnSpec::new(&built.program)
                     .entry(entry)
-                    .mem_size(1 << 20)
                     .circuit(CircuitSpec {
                         cid: 0,
                         circuit: Box::new(crate::twofish::BlockCircuit::new(&key)),
@@ -777,7 +776,6 @@ mod tests {
         });
         let spec = SpawnSpec::new(&built.program)
             .entry(entry)
-            .mem_size(1 << 20)
             .circuit(CircuitSpec {
                 cid: 0,
                 circuit: echo::scale_circuit(),

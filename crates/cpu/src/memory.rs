@@ -66,12 +66,11 @@ impl PartialEq for Memory {
 impl Eq for Memory {}
 
 impl Memory {
-    /// Allocate `size` zeroed bytes.
+    /// Allocate `size` zeroed bytes. POrSCHE sizes a process's memory to
+    /// its image plus a fixed stack reserve (`porsche::kernel::STACK_BYTES`).
     ///
-    /// The op array starts empty and grows on demand to cover at most the
-    /// low 1 MiB of program text: zeroing megabytes of it up front dominates short-lived
-    /// instances (benchmarks, small scenario jobs), while real programs
-    /// only ever touch the low words.
+    /// The op array starts empty and grows on demand, up to the low 1 MiB
+    /// of program text, to the words the program actually executes.
     ///
     /// # Panics
     ///

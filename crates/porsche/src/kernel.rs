@@ -31,8 +31,11 @@ pub mod swi {
     pub const GETPID: u32 = 4;
 }
 
-/// Memory size in bytes of a process whose [`SpawnSpec`] names none.
-pub const DEFAULT_MEM: u32 = 1 << 20;
+/// Bytes of stack above a process's image. A process's memory is its
+/// image plus this reserve, and its stack pointer starts at the top.
+/// The deepest guest stack use is 56 bytes (`push {r0-r12, lr}` in a
+/// software alternative).
+pub const STACK_BYTES: u32 = 4 << 10;
 
 /// Minimum run time in cycles guaranteed after a custom-instruction fault
 /// is resolved. Without it, a quantum shorter than the configuration load
@@ -90,7 +93,6 @@ pub struct SpawnSpec {
     words: Vec<u32>,
     origin: u32,
     entry: u32,
-    mem_size: u32,
     circuits: Vec<CircuitSpec>,
 }
 
@@ -99,21 +101,20 @@ impl fmt::Debug for SpawnSpec {
         f.debug_struct("SpawnSpec")
             .field("origin", &self.origin)
             .field("entry", &self.entry)
-            .field("mem_size", &self.mem_size)
             .field("circuits", &self.circuits.len())
             .finish_non_exhaustive()
     }
 }
 
 impl SpawnSpec {
-    /// Spawn `program` with defaults: entry at the program origin, the
-    /// kernel's default memory size ([`DEFAULT_MEM`]), no circuits.
+    /// Spawn `program` with defaults: entry at the program origin, no
+    /// circuits. The process's memory ends [`STACK_BYTES`] past the
+    /// program's last word.
     pub fn new(program: &Program) -> Self {
         Self {
             words: program.words().to_vec(),
             origin: program.origin(),
             entry: program.origin(),
-            mem_size: 0, // 0 = kernel default
             circuits: Vec::new(),
         }
     }
@@ -121,12 +122,6 @@ impl SpawnSpec {
     /// Override the entry point.
     pub fn entry(mut self, entry: u32) -> Self {
         self.entry = entry;
-        self
-    }
-
-    /// Override the memory size (bytes, word-aligned).
-    pub fn mem_size(mut self, bytes: u32) -> Self {
-        self.mem_size = bytes;
         self
     }
 
@@ -147,7 +142,8 @@ pub enum KernelError {
         /// Processes still live.
         live: usize,
     },
-    /// A spawn could not fit the program into process memory.
+    /// A spawn could not fit the image and its [`STACK_BYTES`] reserve
+    /// into the 32-bit address space.
     Spawn(MemError),
     /// Two circuits registered under one CID.
     DuplicateCid {
@@ -247,8 +243,9 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// [`KernelError::Spawn`] if the program does not fit in the
-    /// process's memory; [`KernelError::DuplicateCid`] on CID collisions.
+    /// [`KernelError::Spawn`] if the image ends within [`STACK_BYTES`] of
+    /// the top of the address space; [`KernelError::DuplicateCid`] on CID
+    /// collisions.
     pub fn spawn(&mut self, spec: SpawnSpec) -> Result<Pid, KernelError> {
         self.spawn_at(spec, 0)
     }
@@ -263,7 +260,11 @@ impl Kernel {
     pub fn spawn_at(&mut self, spec: SpawnSpec, at: u64) -> Result<Pid, KernelError> {
         let pid = self.next_pid;
         self.next_pid += 1;
-        let mem_size = if spec.mem_size == 0 { DEFAULT_MEM } else { spec.mem_size };
+        // The assembler keeps an image word-aligned and inside the 32-bit
+        // space, so only the stack reserve can overflow it.
+        let end = spec.origin + 4 * spec.words.len() as u32;
+        let mem_size =
+            end.checked_add(STACK_BYTES).ok_or(MemError::OutOfRange { addr: end, size: end })?;
         let mut mem = Memory::new(mem_size);
         let mut addr = spec.origin;
         for &w in &spec.words {
@@ -776,6 +777,31 @@ mod tests {
             let report = k.run(&mut cpu, &mut rfu, 1_000_000).expect("run");
             assert_eq!(report.killed, vec![pid], "{src}");
         }
+    }
+
+    #[test]
+    fn memory_is_the_image_plus_the_stack_reserve() {
+        // SP starts at the end of memory: the word below it is the last
+        // one the process owns, and a load at SP is a data abort (the
+        // only stop that kills these programs).
+        for (src, exits) in [("str r0, [sp, #-4]\n swi #0\n", true), ("ldr r0, [sp]\n swi #0\n", false)] {
+            let p = assemble(&format!(".org 0x100\n mov r0, #9\n {src}")).expect("asm");
+            let size = 0x100 + 4 * p.words().len() as u32 + STACK_BYTES;
+            let mut k = Kernel::new(KernelConfig::default());
+            let pid = k.spawn(SpawnSpec::new(&p)).expect("spawn");
+            assert_eq!((k.procs[&pid].mem.size(), k.procs[&pid].ctx.regs[13]), (size, size));
+            let (mut cpu, mut rfu) = machine();
+            let report = k.run(&mut cpu, &mut rfu, 1_000_000).expect("run");
+            if exits {
+                assert_eq!(report.exited, vec![(pid, report.makespan, 9)]);
+                assert_eq!(k.procs[&pid].mem.read_word(size - 4), Ok(9));
+            } else {
+                assert_eq!(report.killed, vec![pid], "{src}");
+            }
+        }
+        let high = assemble(".org 0xfffff000\n swi #0\n").expect("asm");
+        let mut k = Kernel::new(KernelConfig::default());
+        assert!(matches!(k.spawn(SpawnSpec::new(&high)), Err(KernelError::Spawn(_))));
     }
 
     #[test]

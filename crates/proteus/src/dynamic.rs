@@ -19,12 +19,11 @@ use porsche::process::Pid;
 use porsche::stats::KernelStats;
 use proteus_apps::workload::{WorkloadConfig, WorkloadSpec};
 use proteus_apps::AppKind;
-use proteus_rfu::RfuConfig;
 
 use crate::machine::{Machine, MachineConfig};
 
-/// Configuration of a dynamic-arrival run. PFU replacement is the
-/// kernel's default, Round Robin.
+/// Configuration of a dynamic-arrival run: the arrival process and the
+/// machine the jobs run on.
 ///
 /// # Example
 ///
@@ -32,18 +31,19 @@ use crate::machine::{Machine, MachineConfig};
 /// use proteus::dynamic::DynamicLoad;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let result = DynamicLoad {
+/// let mut load = DynamicLoad {
 ///     jobs: 4,
 ///     mean_interarrival: 200_000,
 ///     job_size: (32, 2),
 ///     ..DynamicLoad::default()
-/// }
-/// .run()?;
+/// };
+/// load.machine.kernel.share_circuits = true;
+/// let result = load.run()?;
 /// assert!(result.valid);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct DynamicLoad {
     /// Number of jobs to inject.
     pub jobs: usize,
@@ -51,16 +51,11 @@ pub struct DynamicLoad {
     pub mean_interarrival: u64,
     /// Per-job work: `(size, passes)` applied to every application kind.
     pub job_size: (usize, u32),
-    /// Scheduling quantum.
-    pub quantum: u64,
-    /// Contention resolution.
-    pub mode: DispatchMode,
-    /// §4.2 circuit sharing.
-    pub sharing: bool,
     /// RNG seed for arrivals.
     pub seed: u64,
-    /// Timeline-event capacity (0 disables tracing).
-    pub trace_capacity: usize,
+    /// The machine. Jobs register their software alternatives when its
+    /// dispatch mode is [`DispatchMode::SoftwareFallback`].
+    pub machine: MachineConfig,
 }
 
 impl Default for DynamicLoad {
@@ -69,11 +64,11 @@ impl Default for DynamicLoad {
             jobs: 12,
             mean_interarrival: 2_000_000,
             job_size: (256, 8),
-            quantum: 100_000,
-            mode: DispatchMode::HardwareOnly,
-            sharing: false,
             seed: 2003,
-            trace_capacity: 0,
+            machine: MachineConfig {
+                kernel: KernelConfig { quantum: 100_000, ..KernelConfig::default() },
+                ..MachineConfig::default()
+            },
         }
     }
 }
@@ -94,8 +89,8 @@ pub struct DynamicResult {
     pub ledger: CycleLedger,
     /// The same cycles attributed per process × emit site.
     pub attributed: AttributedLedger,
-    /// Timeline events, oldest first (empty unless
-    /// [`DynamicLoad::trace_capacity`] was set).
+    /// Timeline events, oldest first (empty unless the machine's
+    /// [`KernelConfig::trace_capacity`] was set).
     pub trace: Vec<(u64, Tag, Event)>,
     /// Events the trace ring discarded once full.
     pub trace_dropped: u64,
@@ -119,18 +114,8 @@ impl DynamicLoad {
             .iter()
             .map(|&k| WorkloadSpec::build(WorkloadConfig::new(k, self.job_size.0, self.job_size.1)))
             .collect();
-        let with_sw = self.mode == DispatchMode::SoftwareFallback;
-
-        let mut machine = Machine::new(MachineConfig {
-            kernel: KernelConfig {
-                quantum: self.quantum,
-                mode: self.mode,
-                share_circuits: self.sharing,
-                trace_capacity: self.trace_capacity,
-                ..KernelConfig::default()
-            },
-            rfu: RfuConfig::default(),
-        });
+        let with_sw = self.machine.kernel.mode == DispatchMode::SoftwareFallback;
+        let mut machine = Machine::new(self.machine.clone());
 
         let cycle_limit = 2_000_000_000_000;
         let mut arrivals: Vec<(Pid, u64, u32)> = Vec::with_capacity(self.jobs);
@@ -228,15 +213,14 @@ mod tests {
         // Per-job turnaround must equal the spawn→exit span visible in
         // the event timeline — the two are produced by independent code
         // paths (arrival bookkeeping vs. probe emission).
-        let result = DynamicLoad {
+        let mut load = DynamicLoad {
             jobs: 3,
             mean_interarrival: 150_000,
             job_size: (32, 2),
-            trace_capacity: 1 << 16,
             ..DynamicLoad::default()
-        }
-        .run()
-        .expect("run");
+        };
+        load.machine.kernel.trace_capacity = 1 << 16;
+        let result = load.run().expect("run");
         assert!(result.valid, "{result:?}");
         assert_eq!(result.turnarounds.len(), 3);
         for &(pid, turnaround) in &result.turnarounds {

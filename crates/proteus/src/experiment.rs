@@ -418,11 +418,16 @@ pub fn dynamic_load_plan(scale: &Scale) -> ExperimentPlan {
                 jobs: 2 * scale.max_instances,
                 mean_interarrival: gap,
                 job_size: (size, (passes / 4).max(1)),
-                quantum: QUANTUM_1MS,
-                mode,
-                sharing,
                 seed: scale.seed,
-                ..DynamicLoad::default()
+                machine: MachineConfig {
+                    kernel: KernelConfig {
+                        quantum: QUANTUM_1MS,
+                        mode,
+                        share_circuits: sharing,
+                        ..KernelConfig::default()
+                    },
+                    ..MachineConfig::default()
+                },
             };
             plan.push_job(name, move || {
                 let result = load.run().unwrap_or_else(|e| panic!("{name} gap={gap}: {e}"));

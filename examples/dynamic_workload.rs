@@ -21,15 +21,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             (DispatchMode::SoftwareFallback, false),
             (DispatchMode::HardwareOnly, true),
         ] {
-            let result = DynamicLoad {
+            let mut load = DynamicLoad {
                 jobs: 18,
                 mean_interarrival: gap,
                 job_size: (512, 30),
-                mode,
-                sharing,
                 ..DynamicLoad::default()
-            }
-            .run()?;
+            };
+            load.machine.kernel.mode = mode;
+            load.machine.kernel.share_circuits = sharing;
+            let result = load.run()?;
             assert!(result.valid, "all jobs must compute correct results");
             row.push_str(&format!(" {:>18.0}", result.mean_turnaround));
         }
